@@ -175,10 +175,20 @@ def cmd_lqs(cfg):
         combos = [c + (v,) for c in combos for v in axes[k]]
     if len(combos) > 1 and not cfg.out:
         raise ValueError("multi-axis sweep needs --out (one file per combination)")
+    out_paths = [cfg.out]
+    if extra:
+        stem, dot, suffix = cfg.out.rpartition(".") if "." in cfg.out else (cfg.out, "", "")
+        out_paths = []
+        for combo in combos:
+            tag = "_".join(f"{k}{_fmt_cell(v)}" for k, v in zip(extra, combo))
+            path = f"{stem}_{tag}{dot}{suffix}"
+            if path in out_paths:
+                raise ValueError(f"two parameter combinations would both write {path}")
+            out_paths.append(path)
     meta_base = {"command": "lqs", "version": __version__, "format": cfg.fmt,
                  "swept_axis": sweep_key,
                  "axes": {k: [_fmt_cell(v) for v in axes[k]] for k in axes}}
-    for combo in combos:
+    for combo, out_path in zip(combos, out_paths):
         fixed = dict(zip(extra, combo))
         rows = []
         for v in axes[sweep_key]:
@@ -190,12 +200,6 @@ def cmd_lqs(cfg):
                 out_rows = list(ex.map(_lqs_point, rows, chunksize=8))
         else:
             out_rows = [_lqs_point(r) for r in rows]
-        out_path = cfg.out
-        if combo:
-            stem, dot, suffix = (cfg.out.rpartition(".") if "." in cfg.out
-                                 else (cfg.out, "", ""))
-            tag = "_".join(f"{k}{v:g}" for k, v in fixed.items())
-            out_path = f"{stem}_{tag}{dot}{suffix}"
         meta = dict(meta_base, fixed={k: _fmt_cell(v) for k, v in fixed.items()})
         _emit(out_rows, LQS_COLUMNS, cfg, meta, out_path)
     return 0
@@ -254,11 +258,15 @@ def main(argv=None):
         return 2
     sub = values.pop("subcommand")
     seed = values.pop("seed", None)
+    jobs = values.pop("jobs", None)
+    if jobs is not None and jobs < 1:
+        print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
+        return 2
     cfg = RunConfig(
         subcommand=sub,
         fmt=values.pop("fmt", None) or "csv",
         out=values.pop("out", None),
-        jobs=values.pop("jobs", None) or 1,
+        jobs=jobs or 1,
         seed=1234 if seed is None else seed,
         suite=values.pop("suite", None),
     )

@@ -3,7 +3,9 @@
 States, ladder operators, tensor products, beam-splitter unitaries and
 projective measurements on photon-number-truncated Hilbert spaces.  All
 matrices are dense; the cutoffs used here (a few tens of levels) make
-sparsity pointless and keep matrix exponentials exact and cheap.
+sparsity pointless.  A beam-splitter unitary lives on its own two modes and
+is exponentiated one total-photon-number block at a time, so no matrix
+exponential is larger than the shorter mode's dimension.
 """
 
 import math
@@ -136,16 +138,18 @@ def coherent_state(alpha, cutoff):
     Returns (state, deficit) where deficit = 1 - norm^2 of the raw truncated
     expansion c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!).  A deficit above
     1e-6 means the cutoff clips real population and triggers a warning.
+    The moduli are formed in log space, so no power of |alpha| overflows.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    n = np.arange(cutoff + 1)
-    logw = 0.5 * np.array([math.lgamma(k + 1) for k in n])
     if alpha == 0:
         amp = np.zeros(cutoff + 1, dtype=complex)
         amp[0] = 1.0
         return FockVector(amp), 0.0
-    amp = np.exp(-abs(alpha) ** 2 / 2) * np.asarray(alpha, dtype=complex) ** n * np.exp(-logw)
+    n = np.arange(cutoff + 1)
+    log_fact = np.array([math.lgamma(k + 1) for k in n])
+    log_mod = -abs(alpha) ** 2 / 2 + n * math.log(abs(alpha)) - 0.5 * log_fact
+    amp = np.exp(log_mod) * np.exp(1j * n * np.angle(alpha))
     n2 = float(np.vdot(amp, amp).real)
     deficit = 1.0 - n2
     if n2 < 1.0 - 1e-6:
@@ -193,36 +197,43 @@ def fidelity(psi, rho):
     return min(max(f, 0.0), 1.0)
 
 
-def _embedded_ladder(mode, dims):
-    mats = [np.eye(d, dtype=complex) for d in dims]
-    mats[mode] = annihilation_matrix(dims[mode] - 1)
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def beam_splitter_unitary(t, r, mode_pair, dims):
-    """Beam-splitter unitary on a multi-mode truncated Fock space.
+    """Beam-splitter unitary on the two modes of `mode_pair`.
 
     Exponential of the bilinear generator phi a_i^dag a_j - phi^* a_i a_j^dag
     with |phi| = arccos(t), phased so that U^dag a_i U = t a_i + r^* a_j.
     The pair must be lossless: |t|^2 + |r|^2 = 1.
+
+    `dims` lists the dimensions of all modes; the returned matrix acts on
+    the two modes of the pair alone, indexed like np.kron of the lower-
+    numbered mode with the higher-numbered one.  The truncated generator
+    conserves n_i + n_j, so it is exponentiated one block of fixed total
+    photon number at a time.
     """
     t = float(t)
     r = complex(r)
     if abs(t * t + abs(r) ** 2 - 1.0) > NORM_TOL:
         raise ValueError(f"not unitary: t^2 + |r|^2 = {t * t + abs(r) ** 2}")
     i, j = mode_pair
-    dim = int(np.prod(dims))
+    di, dj = dims[i], dims[j]
     if abs(r) == 0:
-        return np.eye(dim, dtype=complex)
+        return np.eye(di * dj, dtype=complex)
     theta = np.arccos(min(t, 1.0))
     phi = (r.conjugate() / abs(r)) * theta
-    ai = _embedded_ladder(i, dims)
-    aj = _embedded_ladder(j, dims)
-    gen = phi * (ai.conj().T @ aj) - np.conj(phi) * (ai @ aj.conj().T)
-    return expm(gen)
+    # flat[n_i, n_j]: pair-space index of |n_i, n_j>
+    flat = np.arange(di * dj).reshape((di, dj) if i < j else (dj, di))
+    if i > j:
+        flat = flat.T
+    u = np.zeros((di * dj, di * dj), dtype=complex)
+    for total in range(di + dj - 1):
+        k = np.arange(max(0, total - dj + 1), min(total, di - 1) + 1)
+        # block basis |k, total-k>: a_i^dag a_j raises k by one with weight
+        # sqrt((k+1)(total-k)), a_i a_j^dag lowers it with the same weight
+        w = np.sqrt((k[:-1] + 1) * (total - k[:-1]))
+        gen = np.diag(phi * w, -1) - np.diag(np.conj(phi) * w, 1)
+        idx = flat[k, total - k]
+        u[np.ix_(idx, idx)] = expm(gen)
+    return u
 
 
 def project_and_renormalize(state, mode_outcomes):

@@ -5,6 +5,7 @@ of the analytic damped-Kerr propagators.  Deliberately no adaptivity: runs
 are short, matrices small, and fixed steps make results bit-reproducible.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,19 +39,26 @@ def lindblad_rhs(rho, kappa, gamma, nbar):
     gamma*nbar; the test suite checks that identity numerically.
     """
     rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    a = annihilation_matrix(d - 1)
-    ad = a.conj().T
-    kerr = ad @ ad @ a @ a
+    a, ad, kerr, n_op, a_ad = _ladder_products(rho.shape[0])
     out = -0.5j * kappa * (kerr @ rho - rho @ kerr)
     # [a^dag, a rho] + h.c. for Hermitian rho reduces to
     # a^dag a rho + rho a^dag a - 2 a rho a^dag
-    n_op = ad @ a
     out -= 0.5 * gamma * (n_op @ rho + rho @ n_op - 2 * (a @ rho @ ad))
     if nbar > 0:
         # [a^dag, [rho, a]] = a^dag rho a - a^dag a rho - rho a a^dag + a rho a^dag
-        out += gamma * nbar * (ad @ (rho @ a) - n_op @ rho - rho @ (a @ ad) + a @ (rho @ ad))
+        out += gamma * nbar * (ad @ (rho @ a) - n_op @ rho - rho @ a_ad + a @ (rho @ ad))
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _ladder_products(d):
+    """a, a^dag, (a^dag)^2 a^2, a^dag a and a a^dag on d levels, read-only."""
+    a = annihilation_matrix(d - 1)
+    ad = a.conj().T
+    mats = (a, ad, ad @ ad @ a @ a, ad @ a, a @ ad)
+    for m in mats:
+        m.flags.writeable = False
+    return mats
 
 
 def _rk4_run(rho, n_steps, h, lam, nbar):

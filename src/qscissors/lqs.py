@@ -137,6 +137,23 @@ def _env_exp_vector(beta, dim):
     return np.asarray(beta, dtype=complex) ** n * np.exp(-logw)
 
 
+def _poisson_tail_bound(b2, cutoff):
+    """Upper bound on sum_{k > cutoff} b2^k/k!, as a share of e^{b2}.
+
+    Past the Poisson peak (cutoff + 2 > b2) successive terms shrink by at
+    least b2/(cutoff + 2), so the tail is below a geometric series started
+    at its first term; below the peak no such bound exists and the result
+    is inf.
+    """
+    if b2 == 0:
+        return 0.0
+    ratio = b2 / (cutoff + 2)
+    if ratio >= 1.0:
+        return math.inf
+    first = math.exp((cutoff + 1) * math.log(b2) - b2 - math.lgamma(cutoff + 2))
+    return first / (1.0 - ratio)
+
+
 def env_gram_oracle(p, env_cutoff=None):
     """Normalization and fidelity from explicit environment modes.
 
@@ -159,12 +176,13 @@ def env_gram_oracle(p, env_cutoff=None):
     beta = alpha * math.sqrt(x)
     b2 = abs(beta) ** 2
     if env_cutoff is None:
-        env_cutoff = 8
-        while b2 ** (env_cutoff + 1) / math.factorial(env_cutoff + 1) > 1e-12 * math.exp(b2):
+        env_cutoff = max(8, math.ceil(b2))
+        while _poisson_tail_bound(b2, env_cutoff) > 1e-12:
             env_cutoff += 1
-    tail = math.exp(b2) - sum(b2**k / math.factorial(k) for k in range(env_cutoff + 1))
-    if tail > 1e-10 * math.exp(b2):
-        raise CutoffError(f"env_cutoff {env_cutoff} leaves tail {tail:.3e} of e^(x|a|^2)")
+    tail = _poisson_tail_bound(b2, env_cutoff)
+    if tail > 1e-10:
+        raise CutoffError(f"env_cutoff {env_cutoff} leaves tail {tail:.3e} of e^(x|a|^2), "
+                          f"x|a|^2 = {b2:.6g}")
     dims = (2, 2, env_cutoff + 1)
     v3 = _env_exp_vector(beta, env_cutoff + 1)
     g0 = np.array([1.0, 0.0], dtype=complex)
@@ -190,7 +208,9 @@ def lqs_projection_oracle(alpha, t, r, cutoff, t2=None, r2=None):
     Sends |1, 0, alpha> through the two beam splitters, projects the middle
     and last output modes onto <1| and <0|, and returns the conditional
     first-mode state with the outcome probability.  A second (t2, r2) pair
-    makes the BSs distinct; by default they are identical.
+    makes the BSs distinct; by default they are identical.  Each splitter's
+    unitary acts on its own mode pair by contraction over those two axes of
+    the (2, d, d) amplitude tensor.
     """
     if t2 is None:
         t2, r2 = t, r
@@ -201,7 +221,8 @@ def lqs_projection_oracle(alpha, t, r, cutoff, t2=None, r2=None):
     vac[0] = 1.0
     state = MultiModeState.product([photon, vac, coh.amplitudes])
     dims = state.dims
-    u1 = beam_splitter_unitary(t, r, (0, 1), dims)
-    u2 = beam_splitter_unitary(t2, r2, (1, 2), dims)
-    out = MultiModeState(u2 @ (u1 @ state.amplitudes), dims)
-    return project_and_renormalize(out, [(1, 1), (2, 0)])
+    u1 = beam_splitter_unitary(t, r, (0, 1), dims).reshape(2, d, 2, d)
+    u2 = beam_splitter_unitary(t2, r2, (1, 2), dims).reshape(d, d, d, d)
+    psi = np.tensordot(u1, state.tensor(), axes=([2, 3], [0, 1]))
+    psi = np.tensordot(psi, u2, axes=([1, 2], [2, 3]))
+    return project_and_renormalize(MultiModeState(psi, dims), [(1, 1), (2, 0)])

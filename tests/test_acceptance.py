@@ -144,6 +144,7 @@ def test_criterion_3_gram_oracle():
 
 
 def test_criterion_4_projection_oracle():
+    t0 = time.monotonic()
     rng = np.random.default_rng(104)
     dev = 0.0
     for alpha in (0.25, 0.5, 0.75, 1.0):
@@ -159,8 +160,10 @@ def test_criterion_4_projection_oracle():
     ideal = truncated_state_general_bs(0.9, ta, 1j * math.sqrt(0.4), tb,
                                        1j * math.sqrt(0.7))
     dev = max(dev, 1.0 - abs(ideal.overlap(out.normalized())))
+    elapsed = time.monotonic() - t0
     _report(4, "full Fock-space projection oracle vs two-level output, cutoff 15",
-            dev, 1e-10)
+            dev, 1e-10, f", {elapsed:.2f} s")
+    assert elapsed < 10.0
 
 
 def test_criterion_5_analytic_limit_chain():

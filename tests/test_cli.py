@@ -83,6 +83,32 @@ def test_lqs_multi_axis_needs_out(tmp_path, capsys):
         assert len(rows) == 4  # header + swept alpha axis
 
 
+def test_lqs_file_tags_keep_fifteen_digits(tmp_path):
+    # values equal to six significant digits still get one file each
+    args = ["lqs", "--alpha", "0:1:3", "--eta", "0.9", "--gamma-bs", "0",
+            "--r-sq", "0.1234561:0.1234562:2", "--out", str(tmp_path / "o.csv")]
+    assert main(args) == 0
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert files == ["o_r_sq0.1234561.csv", "o_r_sq0.1234562.csv"]
+
+
+def test_lqs_colliding_file_tags_exit_2(tmp_path, capsys):
+    # a repeated value would write one path twice: refuse before writing
+    args = ["lqs", "--alpha", "0:1:3", "--eta", "0.9", "--gamma-bs", "0",
+            "--r-sq", "0.3:0.3:2", "--out", str(tmp_path / "o.csv")]
+    assert main(args) == 2
+    assert "o_r_sq0.3.csv" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_jobs_below_one_exits_2(capsys):
+    base = ["lqs", "--alpha", "0.5", "--eta", "1", "--gamma-bs", "0", "--r-sq", "0.5"]
+    for jobs in ("0", "-4"):
+        assert main(base + ["--jobs", jobs]) == 2
+        err = capsys.readouterr()
+        assert "--jobs" in err.err and err.out == ""
+
+
 def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["lqs", "--alpha", "0:2:9", "--eta", "0.9", "--gamma-bs", "0.02",

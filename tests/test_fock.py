@@ -1,7 +1,12 @@
 """Tests for truncated Fock-space states, operators and measurements."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from qscissors.fock import (
     DensityMatrix,
@@ -88,6 +93,20 @@ def test_coherent_state_moments():
     assert np.max(np.abs(resid[:25])) < 1e-10
     nbar = np.vdot(v.amplitudes, number_matrix(30) @ v.amplitudes).real
     assert abs(nbar - abs(alpha) ** 2) < 1e-12
+
+
+def test_coherent_state_large_amplitude():
+    # alpha^n alone would overflow long before the 1/sqrt(n!) weight
+    alpha = 30.0 * np.exp(0.7j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, deficit = coherent_state(alpha, 1500)
+    assert abs(v.norm - 1.0) < 1e-12
+    assert abs(deficit) < 1e-12
+    nbar = float(np.dot(np.arange(1501), np.abs(v.amplitudes) ** 2))
+    assert abs(nbar - 900.0) < 1e-9 * 900.0
+    ratio = v.amplitudes[901] / v.amplitudes[900]
+    assert abs(ratio - alpha / np.sqrt(901)) < 1e-9 * abs(ratio)
 
 
 def test_coherent_state_vacuum_and_warning():
@@ -180,6 +199,36 @@ def test_beam_splitter_heisenberg_action():
             if i + j <= d - 1:
                 col = i * d + j
                 assert np.max(np.abs(lhs[:, col] - rhs[:, col])) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t_sq=st.floats(0.0, 1.0),
+    r_phase=st.floats(0.0, 2 * np.pi),
+    d0=st.integers(2, 6),
+    d1=st.integers(2, 6),
+    swap=st.booleans(),
+)
+def test_beam_splitter_blocks_equal_full_space_expm(t_sq, r_phase, d0, d1, swap):
+    # the photon-number-block exponential must equal expm of the generator
+    # assembled on the whole pair space from kron'd ladders
+    pair = (1, 0) if swap else (0, 1)
+    t = np.sqrt(t_sq)
+    r = np.sqrt(1.0 - t_sq) * np.exp(1j * r_phase)
+    U = beam_splitter_unitary(t, r, pair, (d0, d1))
+    ladders = (np.kron(annihilation_matrix(d0 - 1), np.eye(d1)),
+               np.kron(np.eye(d0), annihilation_matrix(d1 - 1)))
+    ai, aj = ladders[pair[0]], ladders[pair[1]]
+    phi = np.arccos(t) * (np.conj(r) / abs(r) if abs(r) > 0 else 1.0)
+    want = expm(phi * (ai.conj().T @ aj) - np.conj(phi) * (ai @ aj.conj().T))
+    assert np.max(np.abs(U - want)) < 1e-12
+    eye = np.eye(d0 * d1)
+    assert np.max(np.abs(U.conj().T @ U - eye)) < 1e-12
+    n_tot = ladders[0].conj().T @ ladders[0] + ladders[1].conj().T @ ladders[1]
+    assert np.max(np.abs(U @ n_tot - n_tot @ U)) < 1e-12
+    # a third, idle mode in dims leaves the pair's unitary as it is
+    U3 = beam_splitter_unitary(t, r, (pair[0] + 1, pair[1] + 1), (3, d0, d1))
+    assert np.array_equal(U3, U)
 
 
 def test_beam_splitter_rejects_lossy_pair():

@@ -56,6 +56,24 @@ def test_rhs_equals_standard_lindblad_form():
         assert np.max(np.abs(got - want)) < 1e-13
 
 
+def test_rhs_cached_ladders_follow_the_dimension():
+    # the ladder products are cached per dimension; switching dimensions
+    # back and forth must still give the literal formula built afresh
+    for k, d in enumerate((9, 16, 9)):
+        rho = _random_density(40 + k, d, support=d - 2)
+        a = annihilation_matrix(d - 1)
+        ad = a.conj().T
+        kerr = ad @ ad @ a @ a
+        n_op = ad @ a
+        kappa, gamma, nbar = 1.3, 0.2, 0.4
+        want = (-0.5j * kappa * (kerr @ rho - rho @ kerr)
+                - 0.5 * gamma * (n_op @ rho + rho @ n_op - 2 * (a @ rho @ ad))
+                + gamma * nbar * (ad @ rho @ a - n_op @ rho - rho @ a @ ad + a @ rho @ ad))
+        got = lindblad_rhs(rho, kappa, gamma, nbar)
+        assert got.shape == (d, d)
+        assert np.max(np.abs(got - want)) < 1e-13
+
+
 def test_rhs_traceless_and_hermiticity_preserving():
     rho = _random_density(32, 8, support=5)
     out = lindblad_rhs(rho, 1.0, 0.2, 0.5)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qscissors.fock import truncated_coherent_state
+from qscissors.fock import CutoffError, truncated_coherent_state
 from qscissors.lqs import (
     LqsParams,
     env_gram_oracle,
@@ -102,6 +102,21 @@ def test_gram_oracle_matches_closed_forms():
     # frozen values for this parameter point
     assert abs(N - 1.3802299399611027) < 1e-12
     assert abs(F - 0.9632168043712539) < 1e-12
+
+
+def test_gram_oracle_large_amplitude_cutoff_search():
+    # x|alpha|^2 = 65: the search must start past the Poisson peak and
+    # bound the tail without subtracting from e^65
+    p = LqsParams(alpha=10.0, eta=0.5, gamma_bs=0.3, r_mag=0.5)
+    N, F = env_gram_oracle(p)
+    a2 = abs(p.alpha) ** 2
+    n2_inv = (p.eta * p.r_mag**2 * a2 * math.exp(p.x * a2)
+              * (p.t**2 * (1 / a2 + 1) + p.r_mag**2 * p.x + p.gamma_bs))
+    assert abs(N * math.sqrt(n2_inv) - 1.0) < 1e-10
+    assert abs(F - fidelity_closed_form(p)) < 1e-10
+    # a cutoff below the peak is refused
+    with pytest.raises(CutoffError):
+        env_gram_oracle(p, env_cutoff=60)
 
 
 def test_gram_oracle_fixed_cutoff():

@@ -53,7 +53,6 @@ from .nqs import (
 from .specfun import (
     DampingCoefficients,
     damping_coefficients,
-    hypergeom_terminating,
     laguerre_assoc,
     ln_factorial,
     sqrt_binomial_ratio,

@@ -6,19 +6,21 @@ Subcommands::
     qscissors nqs --epsilon 0.1 --lambda 0.01 --kicks 20 --cutoff 20
     qscissors verify [--suite NAME] [--seed N]
 
-Ranges use start:stop:count syntax; a bare number is a single value.
-Output is CSV (default) or JSON; identical configuration and seed produce
-byte-identical files.  Exit codes: 0 success, 1 verification/runtime
-failure, 2 usage error.
+Each subcommand also takes --format csv|json, --out PATH and --config
+FILE.  Ranges use start:stop:count syntax; a bare number is a single
+value.  A --config file is a JSON object whose keys are the subcommand's
+flag names (``-`` or ``_``); each entry is parsed as ``--key=value`` ahead
+of the command line, so explicit flags win and a bad key or value is a
+usage error like a bad flag.  Output is CSV (default) or JSON; identical
+configuration and seed produce byte-identical files.  Exit codes: 0
+success, 1 verification/runtime failure, 2 usage error.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .fock import CutoffError
@@ -53,30 +55,17 @@ def parse_range(text):
     raise argparse.ArgumentTypeError(f"malformed range {text!r}; use a number or start:stop:count")
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: subcommand, parameter values, output sink."""
-
-    subcommand: str
-    params: dict = field(default_factory=dict)
-    fmt: str = "csv"
-    out: str | None = None
-    jobs: int = 1
-    seed: int = 1234
-    suite: str | None = None
-
-
 def _build_parser():
+    """The top-level parser and its subparsers by name."""
     ap = argparse.ArgumentParser(prog="qscissors", description=__doc__.split("\n\n")[0])
     ap.add_argument("--version", action="version", version=f"qscissors {__version__}")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--format", choices=("csv", "json"), default=None, dest="fmt")
+        p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--jobs", type=int, default=None, help="worker processes for sweeps")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized draws")
-        p.add_argument("--config", default=None, help="JSON file with defaults; flags override")
+        p.add_argument("--config", default=None,
+                       help="JSON object of flag names and values; flags override")
 
     p_lqs = sub.add_parser("lqs", help="linear-scissors fidelity sweep")
     p_lqs.add_argument("--alpha", type=parse_range, default=None, help="|alpha| value or range")
@@ -102,27 +91,34 @@ def _build_parser():
 
     p_ver = sub.add_parser("verify", help="run oracle-equivalence suites")
     p_ver.add_argument("--suite", default=None, help=f"one of: {', '.join(SUITES)} (default: all)")
+    p_ver.add_argument("--seed", type=int, default=1234, help="seed for randomized draws")
     common(p_ver)
-    return ap
+    return ap, sub.choices
 
 
-def _merge_config(args):
-    """Fill argins left at None from the --config JSON file, then defaults."""
-    values = vars(args).copy()
-    path = values.pop("config", None)
-    if path:
-        with open(path) as fh:
-            for key, val in json.load(fh).items():
-                key = key.replace("-", "_")
-                if key == "format":
-                    key = "fmt"
-                if key == "lambda":
-                    key = "lam"
-                if key in values and values[key] is None:
-                    if key in ("alpha", "eta", "gamma_bs", "r_sq"):
-                        val = parse_range(str(val))
-                    values[key] = val
-    return values
+def _config_tokens(path, parser):
+    """The entries of a JSON config file as --key=value tokens for `parser`.
+
+    Keys must name one of the parser's flags exactly (``_`` for ``-``);
+    values must be strings or numbers.  Floats go through repr, which
+    round-trips.  Raises OSError or ValueError.
+    """
+    with open(path) as fh:
+        entries = json.load(fh)
+    if not isinstance(entries, dict):
+        raise ValueError("must hold a JSON object of flag names and values")
+    flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help", "--config"}
+    tokens = []
+    for key, value in entries.items():
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags:
+            raise ValueError(f"unknown key {key!r}; {parser.prog} takes "
+                             + ", ".join(sorted(f[2:] for f in flags)))
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"{key!r} must be a string or a number, "
+                             f"not {json.dumps(value)}")
+        tokens.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
+    return tokens
 
 
 def _fmt_cell(v):
@@ -135,8 +131,8 @@ def _fmt_cell(v):
     return str(v)
 
 
-def _emit(rows, columns, cfg, meta, out_path):
-    if cfg.fmt == "json":
+def _emit(rows, columns, fmt, meta, out_path):
+    if fmt == "json":
         doc = {"meta": meta, "rows": [dict(zip(columns, r)) for r in rows]}
         text = json.dumps(doc, indent=2, sort_keys=True, default=_fmt_cell) + "\n"
     else:
@@ -147,21 +143,23 @@ def _emit(rows, columns, cfg, meta, out_path):
             w.writerow([_fmt_cell(v) for v in r])
         text = buf.getvalue()
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _lqs_point(item):
-    alpha, eta, gamma_bs, r_sq = item
+def _lqs_point(alpha, eta, gamma_bs, r_sq):
     p = LqsParams(alpha=alpha, eta=eta, gamma_bs=gamma_bs, r_mag=r_sq**0.5)
     f_ppb = fidelity_ppb(alpha, eta) if gamma_bs == 0 and abs(r_sq - 0.5) < 1e-12 else None
     return (abs(alpha), eta, gamma_bs, r_sq, fidelity_closed_form(p), f_ppb)
 
 
-def cmd_lqs(cfg):
-    axes = {k: cfg.params.get(k) for k in ("alpha", "eta", "gamma_bs", "r_sq")}
+def cmd_lqs(args):
+    axes = {k: getattr(args, k) for k in ("alpha", "eta", "gamma_bs", "r_sq")}
     missing = [k for k, v in axes.items() if v is None]
     if missing:
         raise ValueError(f"missing required lqs parameter(s): {', '.join(missing)}")
@@ -173,11 +171,11 @@ def cmd_lqs(cfg):
     combos = [()]
     for k in extra:
         combos = [c + (v,) for c in combos for v in axes[k]]
-    if len(combos) > 1 and not cfg.out:
+    if len(combos) > 1 and not args.out:
         raise ValueError("multi-axis sweep needs --out (one file per combination)")
-    out_paths = [cfg.out]
+    out_paths = [args.out]
     if extra:
-        stem, dot, suffix = cfg.out.rpartition(".") if "." in cfg.out else (cfg.out, "", "")
+        stem, dot, suffix = args.out.rpartition(".") if "." in args.out else (args.out, "", "")
         out_paths = []
         for combo in combos:
             tag = "_".join(f"{k}{_fmt_cell(v)}" for k, v in zip(extra, combo))
@@ -185,7 +183,7 @@ def cmd_lqs(cfg):
             if path in out_paths:
                 raise ValueError(f"two parameter combinations would both write {path}")
             out_paths.append(path)
-    meta_base = {"command": "lqs", "version": __version__, "format": cfg.fmt,
+    meta_base = {"command": "lqs", "version": __version__, "format": args.fmt,
                  "swept_axis": sweep_key,
                  "axes": {k: [_fmt_cell(v) for v in axes[k]] for k in axes}}
     for combo, out_path in zip(combos, out_paths):
@@ -194,26 +192,21 @@ def cmd_lqs(cfg):
         for v in axes[sweep_key]:
             point = {k: fixed.get(k, axes[k][0]) for k in axes}
             point[sweep_key] = v
-            rows.append((point["alpha"], point["eta"], point["gamma_bs"], point["r_sq"]))
-        if cfg.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
-                out_rows = list(ex.map(_lqs_point, rows, chunksize=8))
-        else:
-            out_rows = [_lqs_point(r) for r in rows]
+            rows.append(_lqs_point(**point))
         meta = dict(meta_base, fixed={k: _fmt_cell(v) for k, v in fixed.items()})
-        _emit(out_rows, LQS_COLUMNS, cfg, meta, out_path)
+        _emit(rows, LQS_COLUMNS, args.fmt, meta, out_path)
     return 0
 
 
-def cmd_nqs(cfg):
-    req = {k: cfg.params.get(k) for k in ("epsilon", "kicks", "cutoff")}
+def cmd_nqs(args):
+    req = {k: getattr(args, k) for k in ("epsilon", "kicks", "cutoff")}
     missing = [k for k, v in req.items() if v is None]
     if missing:
         raise ValueError(f"missing required nqs parameter(s): {', '.join(missing)}")
     kw = dict(epsilon=req["epsilon"], kicks=req["kicks"], cutoff=req["cutoff"])
     for k in ("lam", "gamma", "kappa", "nbar", "tau_k"):
-        if cfg.params.get(k) is not None:
-            kw[k] = cfg.params[k]
+        if getattr(args, k) is not None:
+            kw[k] = getattr(args, k)
     p = NqsParams(**kw)
     records = evolve_kicked(p)
     rows = []
@@ -221,26 +214,26 @@ def cmd_nqs(cfg):
         el = r.rho.elements
         rows.append((r.kick_index, r.tau, r.fidelity, r.trace, r.purity, r.mean_n,
                      el[0, 0].real, el[0, 1].real, el[0, 1].imag, el[1, 1].real))
-    meta = {"command": "nqs", "version": __version__, "format": cfg.fmt,
+    meta = {"command": "nqs", "version": __version__, "format": args.fmt,
             "params": {"epsilon": p.epsilon, "lambda": p.lam, "kappa": p.kappa,
                        "gamma": p.gamma, "nbar": p.nbar, "tau_k": p.tau_k,
                        "kicks": p.kicks, "cutoff": p.cutoff}}
-    _emit(rows, NQS_COLUMNS, cfg, meta, cfg.out)
+    _emit(rows, NQS_COLUMNS, args.fmt, meta, args.out)
     return 0
 
 
-def cmd_verify(cfg):
-    names = [cfg.suite] if cfg.suite else None
+def cmd_verify(args):
+    names = [args.suite] if args.suite else None
     try:
-        results = run_suites(names, seed=cfg.seed)
+        results = run_suites(names, seed=args.seed)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     rows = [(r.name, bool(r.passed), float(r.max_dev), float(r.tolerance), r.detail)
             for r in results]
-    meta = {"command": "verify", "version": __version__, "seed": cfg.seed,
+    meta = {"command": "verify", "version": __version__, "seed": args.seed,
             "suites": [r.name for r in results]}
-    _emit(rows, VERIFY_COLUMNS, cfg, meta, cfg.out)
+    _emit(rows, VERIFY_COLUMNS, args.fmt, meta, args.out)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: max deviation {r.max_dev:.3e} "
@@ -249,35 +242,22 @@ def cmd_verify(cfg):
 
 
 def main(argv=None):
-    ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap, subparsers = _build_parser()
     args = ap.parse_args(argv)
+    if args.config:
+        try:
+            tokens = _config_tokens(args.config, subparsers[args.subcommand])
+        except (OSError, ValueError) as exc:
+            print(f"error: --config {args.config}: {exc}", file=sys.stderr)
+            return 2
+        # argv[0] is the subcommand; config entries go before the flags so
+        # that the flags, parsed later, win
+        args = ap.parse_args(argv[:1] + tokens + argv[1:])
+    command = {"lqs": cmd_lqs, "nqs": cmd_nqs, "verify": cmd_verify}[args.subcommand]
     try:
-        values = _merge_config(args)
-    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    sub = values.pop("subcommand")
-    seed = values.pop("seed", None)
-    jobs = values.pop("jobs", None)
-    if jobs is not None and jobs < 1:
-        print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
-        return 2
-    cfg = RunConfig(
-        subcommand=sub,
-        fmt=values.pop("fmt", None) or "csv",
-        out=values.pop("out", None),
-        jobs=jobs or 1,
-        seed=1234 if seed is None else seed,
-        suite=values.pop("suite", None),
-    )
-    cfg.params = values
-    try:
-        if sub == "lqs":
-            return cmd_lqs(cfg)
-        if sub == "nqs":
-            return cmd_nqs(cfg)
-        return cmd_verify(cfg)
-    except (ValueError, FileNotFoundError) as exc:
+        return command(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CutoffError as exc:

@@ -132,24 +132,33 @@ class MultiModeState:
         return self.amplitudes.reshape(self.dims)
 
 
+def coherent_amplitudes(alpha, dim):
+    """Raw coherent-state components e^{-|alpha|^2/2} alpha^n / sqrt(n!), n < dim.
+
+    The moduli are formed in log space, exp(-|alpha|^2/2 + n ln|alpha| -
+    ln(n!)/2), so no power of |alpha| or factorial overflows.
+    """
+    if alpha == 0:
+        amp = np.zeros(dim, dtype=complex)
+        amp[0] = 1.0
+        return amp
+    n = np.arange(dim)
+    log_fact = np.array([math.lgamma(k + 1) for k in n])
+    log_mod = -abs(alpha) ** 2 / 2 + n * math.log(abs(alpha)) - 0.5 * log_fact
+    return np.exp(log_mod) * np.exp(1j * n * np.angle(alpha))
+
+
 def coherent_state(alpha, cutoff):
     """Coherent state truncated at `cutoff`, renormalized.
 
     Returns (state, deficit) where deficit = 1 - norm^2 of the raw truncated
-    expansion c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!).  A deficit above
-    1e-6 means the cutoff clips real population and triggers a warning.
-    The moduli are formed in log space, so no power of |alpha| overflows.
+    expansion c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!) (coherent_amplitudes).
+    A deficit above 1e-6 means the cutoff clips real population and triggers
+    a warning.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    if alpha == 0:
-        amp = np.zeros(cutoff + 1, dtype=complex)
-        amp[0] = 1.0
-        return FockVector(amp), 0.0
-    n = np.arange(cutoff + 1)
-    log_fact = np.array([math.lgamma(k + 1) for k in n])
-    log_mod = -abs(alpha) ** 2 / 2 + n * math.log(abs(alpha)) - 0.5 * log_fact
-    amp = np.exp(log_mod) * np.exp(1j * n * np.angle(alpha))
+    amp = coherent_amplitudes(alpha, cutoff + 1)
     n2 = float(np.vdot(amp, amp).real)
     deficit = 1.0 - n2
     if n2 < 1.0 - 1e-6:

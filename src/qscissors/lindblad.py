@@ -18,14 +18,11 @@ class IntegratorConfig:
     """RK4 settings: scaled-time step and allowed trace leakage."""
 
     dt: float = 1e-3
-    method: str = "rk4"
     leakage_tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.method != "rk4":
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 def lindblad_rhs(rho, kappa, gamma, nbar):

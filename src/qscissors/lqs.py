@@ -10,6 +10,7 @@ mode realization of the Langevin noise operators.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .fock import (
     FockVector,
     MultiModeState,
     beam_splitter_unitary,
+    coherent_amplitudes,
     coherent_state,
     project_and_renormalize,
 )
@@ -130,13 +132,6 @@ def fidelity_ppb(alpha, eta):
     return 1.0 - a2**2 * (1.0 - eta) / ((1.0 + a2) * (1.0 + a2 * (2.0 - eta)))
 
 
-def _env_exp_vector(beta, dim):
-    """Components of exp(beta c^dag)|0>: beta^n/sqrt(n!), unnormalized."""
-    n = np.arange(dim)
-    logw = np.array([0.5 * math.lgamma(k + 1) for k in n])
-    return np.asarray(beta, dtype=complex) ** n * np.exp(-logw)
-
-
 def _poisson_tail_bound(b2, cutoff):
     """Upper bound on sum_{k > cutoff} b2^k/k!, as a share of e^{b2}.
 
@@ -168,7 +163,12 @@ def env_gram_oracle(p, env_cutoff=None):
 
     Returns (N, F).  env_cutoff bounds the coherent-like environment mode;
     when omitted it is chosen so the neglected tail is below 1e-12 of
-    e^{x|alpha|^2}.
+    e^{x|alpha|^2}.  That mode carries exp(beta c^dag)|0>, beta = alpha
+    sqrt(x), whose squared norm e^{x|alpha|^2} overflows a float from
+    x|alpha|^2 of about 709; it is built scaled by e^{-x|alpha|^2/2} (the
+    coherent-state components of beta) and the scale is put back into N
+    only.  Raises FloatingPointError where N itself falls below the normal
+    float range, from x|alpha|^2 of about 1400.
     """
     alpha = complex(p.alpha)
     a2 = abs(alpha) ** 2
@@ -184,7 +184,7 @@ def env_gram_oracle(p, env_cutoff=None):
         raise CutoffError(f"env_cutoff {env_cutoff} leaves tail {tail:.3e} of e^(x|a|^2), "
                           f"x|a|^2 = {b2:.6g}")
     dims = (2, 2, env_cutoff + 1)
-    v3 = _env_exp_vector(beta, env_cutoff + 1)
+    v3 = coherent_amplitudes(beta, env_cutoff + 1)
     g0 = np.array([1.0, 0.0], dtype=complex)
     g1 = np.array([0.0, 1.0], dtype=complex)
     front = math.sqrt(p.eta) * p.r
@@ -195,10 +195,14 @@ def env_gram_oracle(p, env_cutoff=None):
         dims,
     )
     lam1 = MultiModeState(front * p.t * np.kron(np.kron(g0, g0), v3), dims)
-    n2_inv = lam0.norm**2 + a2 * lam1.norm**2
-    N = 1.0 / math.sqrt(n2_inv)
+    # 1/N^2 = e^{x|alpha|^2} * scaled_n2_inv
+    scaled_n2_inv = lam0.norm**2 + a2 * lam1.norm**2
+    N = math.exp(-b2 / 2) / math.sqrt(scaled_n2_inv)
+    if N < sys.float_info.min:
+        raise FloatingPointError(f"N = {N:.3e} is below the normal float range "
+                                 f"at x|a|^2 = {b2:.6g}")
     combined = lam0.amplitudes + a2 * lam1.amplitudes
-    F = N**2 * float(np.vdot(combined, combined).real) / (1.0 + a2)
+    F = float(np.vdot(combined, combined).real) / scaled_n2_inv / (1.0 + a2)
     return N, F
 
 

@@ -1,33 +1,13 @@
 """Special functions for the exact damped-Kerr propagator.
 
-Terminating hypergeometric sums, associated Laguerre polynomials, log-space
-binomials and the complex damping coefficients of the thermal solution.
+Associated Laguerre polynomials, log-space binomials and the complex damping
+coefficients of the thermal solution.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def hypergeom_terminating(n, m, c, z):
-    """F(-n, -m; c; z) for nonnegative integers n, m: a finite polynomial.
-
-    The Pochhammer symbols (-n)_k and (-m)_k vanish past k = min(n, m), so
-    the sum terminates; terms are built by recurrence rather than from
-    factorials.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative integers")
-    if c < 1:
-        raise ValueError("c must be a positive integer")
-    z = complex(z)
-    total = 0.0 + 0j
-    term = 1.0 + 0j
-    for k in range(min(n, m) + 1):
-        total += term
-        term *= (-n + k) * (-m + k) * z / ((c + k) * (k + 1))
-    return total
 
 
 def laguerre_assoc(n, k, x):

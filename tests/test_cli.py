@@ -8,6 +8,20 @@ import pytest
 from qscissors.cli import main, parse_range
 
 
+def _exit_code(argv):
+    """main's exit code, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _write_config(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -101,12 +115,15 @@ def test_lqs_colliding_file_tags_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_jobs_below_one_exits_2(capsys):
-    base = ["lqs", "--alpha", "0.5", "--eta", "1", "--gamma-bs", "0", "--r-sq", "0.5"]
-    for jobs in ("0", "-4"):
-        assert main(base + ["--jobs", jobs]) == 2
+def test_removed_flags_exit_2(capsys):
+    # each subcommand takes only the options it reads
+    lqs = ["lqs", "--alpha", "0.5", "--eta", "1", "--gamma-bs", "0", "--r-sq", "0.5"]
+    nqs = ["nqs", "--epsilon", "0.1", "--kicks", "1", "--cutoff", "8"]
+    for argv in (lqs + ["--jobs", "2"], lqs + ["--seed", "3"], nqs + ["--jobs", "2"],
+                 nqs + ["--seed", "3"], ["verify", "--suite", "lqs-ppb", "--jobs", "1"]):
+        assert _exit_code(argv) == 2
         err = capsys.readouterr()
-        assert "--jobs" in err.err and err.out == ""
+        assert "unrecognized arguments" in err.err and err.out == ""
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -114,7 +131,7 @@ def test_byte_identical_reruns(tmp_path):
     args = ["lqs", "--alpha", "0:2:9", "--eta", "0.9", "--gamma-bs", "0.02",
             "--r-sq", "0.49"]
     assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b), "--jobs", "2"]) == 0
+    assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -169,6 +186,65 @@ def test_config_file_missing_exits_2(capsys):
     rc = main(["lqs", "--config", "/no/such/file.json", "--alpha", "0.5",
                "--eta", "1", "--gamma-bs", "0", "--r-sq", "0.5"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("sub, doc", [
+    ("nqs", {"epsilon": 0.1, "kicks": 2.5, "cutoff": 5}),  # bad type
+    ("nqs", {"epsilon": "x", "kicks": 2, "cutoff": 5}),
+    ("nqs", [1, 2]),  # top level not an object
+    ("lqs", "{not json"),
+    ("lqs", {"alhpa": "0:1:3", "format": "xml"}),  # unknown key
+    ("lqs", {"alpha": "0:1:3", "eta": 1, "gamma-bs": 0, "r-sq": 0.5, "format": "xml"}),
+    ("nqs", {"epsilon": 0.1, "kicks": 1, "cutoff": 8, "lam": 0.1}),  # old alias
+    ("lqs", {"alpha": "0:1:3", "eta": 1, "gamma-bs": 0, "r-sq": 0.5, "fmt": "json"}),
+    # complete configs that a prefix match or an ignored key would let run
+    ("lqs", {"alpha": "0:1:3", "eta": 1, "gamma": 0, "r-sq": 0.5}),
+    ("lqs", {"alpha": "0:1:3", "eta": 1, "gamma-bs": 0, "r-sq": 0.5, "seed": 3}),
+    ("lqs", {"alpha": "0:1:3", "eta": 1, "gamma-bs": 0, "r-sq": 0.5, "config": "o.json"}),
+    ("lqs", {"eta": [0.5, 1]}),  # non-scalar values
+    ("lqs", {"eta": {"value": 1}}),
+    ("lqs", {"eta": None}),
+    ("lqs", {"eta": True}),
+])
+def test_config_defects_exit_2(tmp_path, capsys, sub, doc):
+    argv = [sub, "--config", _write_config(tmp_path, doc)]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert "error:" in err.err and "Traceback" not in err.err
+
+
+@pytest.mark.parametrize("doc, flags", [
+    ({"alpha": "0:2:21", "eta": 0.85, "gamma_bs": 0, "r-sq": 0.5},
+     ["lqs", "--alpha", "0:2:21", "--eta", "0.85", "--gamma-bs", "0", "--r-sq", "0.5"]),
+    ({"alpha": -0.7, "eta": 0.123456789012345678, "gamma-bs": 0.02, "r_sq": 0.49,
+      "format": "json"},
+     ["lqs", "--alpha", "-0.7", "--eta", repr(0.123456789012345678), "--gamma-bs", "0.02",
+      "--r-sq", "0.49", "--format", "json"]),
+    ({"epsilon": 0.1, "lambda": 0.01, "kicks": 3, "cutoff": 15, "format": "json"},
+     ["nqs", "--epsilon", "0.1", "--lambda", "0.01", "--kicks", "3", "--cutoff", "15",
+      "--format", "json"]),
+    # a string value parses exactly as the flag would
+    ({"epsilon": "0.1", "kappa": 2, "gamma": 0.04, "tau_k": 1.5, "kicks": "2", "cutoff": 10},
+     ["nqs", "--epsilon", "0.1", "--kappa", "2", "--gamma", "0.04", "--tau-k", "1.5",
+      "--kicks", "2", "--cutoff", "10"]),
+    ({"suite": "lqs-ppb", "seed": 7, "format": "json"},
+     ["verify", "--suite", "lqs-ppb", "--seed", "7", "--format", "json"]),
+])
+def test_config_output_matches_flags(tmp_path, capsys, doc, flags):
+    assert main(flags) == 0
+    want = capsys.readouterr().out
+    assert main([flags[0], "--config", _write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_out_unwritable_exits_2(tmp_path, capsys):
+    base = ["lqs", "--alpha", "0.5", "--eta", "1", "--gamma-bs", "0", "--r-sq", "0.5"]
+    for out in (tmp_path, tmp_path / "no" / "such.csv"):
+        assert main(base + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+    assert main(["verify", "--suite", "lqs-ppb", "--out", str(tmp_path)]) == 2
 
 
 def test_verify_single_suite_exit_0(capsys):

@@ -33,8 +33,6 @@ def _dissipator(L, rho):
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="euler")
 
 
 def test_rhs_equals_standard_lindblad_form():

@@ -1,5 +1,6 @@
 """Tests for the linear-scissors fidelities and their brute-force oracles."""
 
+import cmath
 import math
 
 import numpy as np
@@ -117,6 +118,26 @@ def test_gram_oracle_large_amplitude_cutoff_search():
     # a cutoff below the peak is refused
     with pytest.raises(CutoffError):
         env_gram_oracle(p, env_cutoff=60)
+
+
+@pytest.mark.parametrize("alpha", [18.0, 18.0 * cmath.exp(0.7j), 40.0])
+def test_gram_oracle_past_float_range_of_exponential(alpha):
+    # x|alpha|^2 = 210.6 and 1040; e^{x|alpha|^2} overflows a float at the
+    # second, so the closed-form N is compared in log space
+    p = LqsParams(alpha=alpha, eta=0.5, gamma_bs=0.3, r_mag=0.5)
+    N, F = env_gram_oracle(p)
+    a2 = abs(p.alpha) ** 2
+    log_n2_inv = (math.log(p.eta * p.r_mag**2 * a2) + p.x * a2
+                  + math.log(p.t**2 * (1 / a2 + 1) + p.r_mag**2 * p.x + p.gamma_bs))
+    assert abs(N * math.exp(0.5 * log_n2_inv) - 1.0) < 1e-10
+    assert abs(F - fidelity_closed_form(p)) < 1e-10
+
+
+def test_gram_oracle_refuses_subnormal_normalization():
+    # x|alpha|^2 = 1625: N = e^{-812}/... is not a normal float
+    p = LqsParams(alpha=50.0, eta=0.5, gamma_bs=0.3, r_mag=0.5)
+    with pytest.raises(FloatingPointError, match="normal float range"):
+        env_gram_oracle(p)
 
 
 def test_gram_oracle_fixed_cutoff():

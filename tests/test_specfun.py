@@ -8,48 +8,10 @@ from scipy.special import comb, genlaguerre
 
 from qscissors.specfun import (
     damping_coefficients,
-    hypergeom_terminating,
     laguerre_assoc,
     ln_factorial,
     sqrt_binomial_ratio,
 )
-
-
-def _hypergeom_direct(n, m, c, z):
-    # brute-force Pochhammer sum, factorials and all
-    def poch(a, k):
-        out = 1.0
-        for i in range(k):
-            out *= a + i
-        return out
-
-    return sum(
-        poch(-n, k) * poch(-m, k) / poch(c, k) * z**k / math.factorial(k)
-        for k in range(min(n, m) + 1)
-    )
-
-
-def test_hypergeom_matches_direct_sum():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        n, m = rng.integers(0, 12, size=2)
-        c = int(rng.integers(1, 6))
-        z = complex(rng.normal(), rng.normal())
-        got = hypergeom_terminating(int(n), int(m), c, z)
-        want = _hypergeom_direct(int(n), int(m), c, z)
-        assert abs(got - want) < 1e-10 * max(1.0, abs(want))
-
-
-def test_hypergeom_symmetry_and_edges():
-    assert hypergeom_terminating(0, 7, 3, 2.5) == 1.0
-    assert hypergeom_terminating(7, 0, 3, 2.5) == 1.0
-    a = hypergeom_terminating(5, 8, 2, 0.3 + 0.4j)
-    b = hypergeom_terminating(8, 5, 2, 0.3 + 0.4j)
-    assert abs(a - b) < 1e-14
-    with pytest.raises(ValueError):
-        hypergeom_terminating(-1, 2, 1, 0.5)
-    with pytest.raises(ValueError):
-        hypergeom_terminating(2, 2, 0, 0.5)
 
 
 def test_laguerre_matches_scipy():
@@ -126,14 +88,6 @@ def test_damping_coefficients_rejects_bad_input():
         damping_coefficients(1, 1.0, 0.0, 0.1, 1.0)
     with pytest.raises(ValueError):
         damping_coefficients(1, 1.0, 0.5, -0.1, 1.0)
-
-
-def test_hypergeom_two_term_sums():
-    # single surviving correction term: F = 1 + n m z / c
-    for z in (0.3, -1.2, 0.6 + 0.1j):
-        assert abs(hypergeom_terminating(1, 1, 1, z) - (1 + z)) < 1e-14
-        # (-1)_2 = 0 kills the k=2 term even though min(n, m) would allow it
-        assert abs(hypergeom_terminating(2, 1, 2, z) - (1 + z)) < 1e-14
 
 
 def test_laguerre_low_orders():

@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import __version__
@@ -57,7 +58,8 @@ def parse_range(text):
 
 def _build_parser():
     """The top-level parser and its subparsers by name."""
-    ap = argparse.ArgumentParser(prog="qscissors", description=__doc__.split("\n\n")[0])
+    ap = argparse.ArgumentParser(prog="qscissors", description=__doc__.split("\n\n")[0],
+                                 allow_abbrev=False)
     ap.add_argument("--version", action="version", version=f"qscissors {__version__}")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
@@ -67,7 +69,7 @@ def _build_parser():
         p.add_argument("--config", default=None,
                        help="JSON object of flag names and values; flags override")
 
-    p_lqs = sub.add_parser("lqs", help="linear-scissors fidelity sweep")
+    p_lqs = sub.add_parser("lqs", help="linear-scissors fidelity sweep", allow_abbrev=False)
     p_lqs.add_argument("--alpha", type=parse_range, default=None, help="|alpha| value or range")
     p_lqs.add_argument("--eta", type=parse_range, default=None, help="detector efficiency")
     p_lqs.add_argument("--gamma-bs", type=parse_range, default=None, dest="gamma_bs",
@@ -76,7 +78,7 @@ def _build_parser():
                        help="reflection probability r_mag^2")
     common(p_lqs)
 
-    p_nqs = sub.add_parser("nqs", help="kicked Kerr-oscillator trajectory")
+    p_nqs = sub.add_parser("nqs", help="kicked Kerr-oscillator trajectory", allow_abbrev=False)
     p_nqs.add_argument("--epsilon", type=float, default=None, help="kick strength")
     p_nqs.add_argument("--lambda", type=float, default=None, dest="lam",
                        help="damping/nonlinearity ratio gamma/kappa")
@@ -89,7 +91,7 @@ def _build_parser():
     p_nqs.add_argument("--cutoff", type=int, default=None)
     common(p_nqs)
 
-    p_ver = sub.add_parser("verify", help="run oracle-equivalence suites")
+    p_ver = sub.add_parser("verify", help="run oracle-equivalence suites", allow_abbrev=False)
     p_ver.add_argument("--suite", default=None, help=f"one of: {', '.join(SUITES)} (default: all)")
     p_ver.add_argument("--seed", type=int, default=1234, help="seed for randomized draws")
     common(p_ver)
@@ -129,6 +131,21 @@ def _fmt_cell(v):
     if isinstance(v, float):
         return f"{v:.15g}"
     return str(v)
+
+
+def _check_out(path):
+    """Raise ValueError unless --out `path` can be written: not a directory,
+    in an existing, writable directory.  Called before any computation."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "Is a directory"
+    elif not os.path.isdir(parent):
+        reason = "No such file or directory"
+    elif not os.access(parent, os.W_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        reason = "Permission denied"
+    else:
+        return
+    raise ValueError(f"cannot write --out {path}: {reason}")
 
 
 def _emit(rows, columns, fmt, meta, out_path):
@@ -183,6 +200,9 @@ def cmd_lqs(args):
             if path in out_paths:
                 raise ValueError(f"two parameter combinations would both write {path}")
             out_paths.append(path)
+    for path in out_paths:
+        if path:
+            _check_out(path)
     meta_base = {"command": "lqs", "version": __version__, "format": args.fmt,
                  "swept_axis": sweep_key,
                  "axes": {k: [_fmt_cell(v) for v in axes[k]] for k in axes}}
@@ -208,6 +228,8 @@ def cmd_nqs(args):
         if getattr(args, k) is not None:
             kw[k] = getattr(args, k)
     p = NqsParams(**kw)
+    if args.out:
+        _check_out(args.out)
     records = evolve_kicked(p)
     rows = []
     for r in records:
@@ -224,6 +246,8 @@ def cmd_nqs(args):
 
 def cmd_verify(args):
     names = [args.suite] if args.suite else None
+    if args.out:
+        _check_out(args.out)
     try:
         results = run_suites(names, seed=args.seed)
     except KeyError as exc:

@@ -5,11 +5,20 @@ A Kerr oscillator driven by short coherent kicks confines its state to the
 an incommensurate multiple of the Kerr revival time.  Between kicks the
 damped evolution has an exact per-diagonal solution; kicks are displacement
 unitaries with closed-form matrix elements.
+
+The propagators and the kick matrix are array code.  A propagator family
+(one matrix per diagonal x = n - m) is evaluated in one pass over flat
+(x, j, l) index arrays cached per dimension; the thermal family's terminating
+hypergeometric sum runs in a loop over its summation index only, over a
+prefix of entries that shrinks as k passes each entry's m.  The kick matrix
+takes every Laguerre value from one recurrence.  A damped step is one
+matrix-vector product per diagonal, read and written through strided views.
 """
 
 import functools
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.constants import hbar, k as k_B
@@ -88,59 +97,99 @@ class EvolutionRecord:
     kick_index: int
 
 
-def _zero_t_propagator(x, size, lam, tau):
-    """Propagator along diagonal x for the zero-temperature damped step."""
-    P = np.zeros((size, size), dtype=complex)
-    lx = lam + 1j * x
-    f = np.exp(-lx * tau)
-    g = lam * (1 - f) / lx if x != 0 else -np.expm1(-lam * tau)
-    for j in range(size):
-        n, m = j + x, j
-        pref = np.exp(1j * x * tau / 2) * np.exp(-lx * tau * (n + m) / 2)
-        gl = 1.0 + 0j
-        for l in range(size - j):
-            P[j, j + l] = pref * sqrt_binomial_ratio(n, m, l) * gl
-            gl *= g
-    return P
+class _FamilyIndex(NamedTuple):
+    """Flat indices of every upper entry P_x[j, j+l] (j + l < dim - x).
 
-
-def _thermal_propagator(x, size, lam, nbar, tau):
-    """Propagator along diagonal x for the finite-temperature damped step.
-
-    Downward entries follow the exact damped-oscillator solution; upward
-    (thermal excitation) entries follow from the detailed-balance symmetry
-    of the per-diagonal generator, P[j, j-k] = q^k P[j-k, j] with
-    q = nbar/(nbar+1).  The hypergeometric sum is accumulated with the
-    E^2 powers distributed over its terms (zeta*E^2 = q*g_bar^2), which
-    keeps every intermediate bounded at large tau.
+    Entries are sorted by m = j descending, so those with m >= k form the
+    prefix of length active[k].  n = j + x; xm = x*dim + m indexes a
+    per-diagonal power table of shape (dim, dim) at exponent m; dest is the
+    entry's position in the concatenated row-major blocks, block x filling
+    start[x]:start[x+1].
     """
-    co = damping_coefficients(x, 1.0, lam, nbar, tau)
-    E, g = co.E, co.g_bar
+
+    x: np.ndarray
+    n: np.ndarray
+    m: np.ndarray
+    l: np.ndarray
+    xm: np.ndarray
+    dest: np.ndarray
+    start: np.ndarray
+    active: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _family_indices(dim):
+    """The _FamilyIndex of one dimension, its arrays read-only."""
+    r = np.arange(dim)
+    # axes (x, j, c): entry (j, c) of block x is upper when j <= c < dim - x
+    x, j, c = np.nonzero((r >= r[:, None]) & (r < dim - r[:, None, None]))
+    order = np.argsort(-j, kind="stable")
+    x, m, l = x[order], j[order], (c - j)[order]
+    size = dim - r
+    start = np.concatenate(([0], np.cumsum(size * size)))
+    idx = _FamilyIndex(
+        x=x, n=m + x, m=m, l=l, xm=x * dim + m, dest=start[x] + m * size[x] + m + l,
+        start=start, active=np.searchsorted(-m, -r, side="right"),
+    )
+    for arr in idx:
+        arr.flags.writeable = False
+    return idx
+
+
+def _power_table(base, dim):
+    """Row x holds base[x]**p for p < dim, as sequential products."""
+    table = np.empty((len(base), dim), dtype=complex)
+    table[:, 0] = 1.0
+    table[:, 1:] = base[:, None]
+    return np.cumprod(table, axis=1)
+
+
+def _zero_t_upper(dim, lam, tau):
+    """Upper entries of every zero-temperature per-diagonal propagator.
+
+    P_x[j, j+l] = e^{i x tau/2} e^{-(lam + i x) tau (n+m)/2}
+    sqrt(C(n+l, n) C(m+l, m)) g_x^l with n = j + x, m = j and
+    g_x = lam (1 - e^{-(lam + i x) tau}) / (lam + i x).
+    """
+    ix = _family_indices(dim)
+    x, n, m, l = ix.x, ix.n, ix.m, ix.l
+    xs = np.arange(dim)
+    lx = lam + 1j * xs
+    g = np.empty(dim, dtype=complex)
+    g[0] = -np.expm1(-lam * tau)
+    g[1:] = lam * (1 - np.exp(-lx[1:] * tau)) / lx[1:]
+    pref = np.exp(1j * x * tau / 2) * np.exp(-lx[x] * tau * (n + m) / 2)
+    return pref * sqrt_binomial_ratio(n, m, l) * _power_table(g, dim)[x, l]
+
+
+def _thermal_upper(dim, lam, nbar, tau):
+    """Upper entries of every finite-temperature per-diagonal propagator.
+
+    Downward entries follow the exact damped-oscillator solution,
+    E^{n+m+1} F(-n, -m; l+1; zeta) = E^{x+1} sum_k c_k (E^2)^{m-k} with
+    c_k carrying w^k, w = zeta E^2 = q g_bar^2: the E^2 powers are
+    distributed over the terms, which keeps every intermediate bounded at
+    large tau.  The terminating sum runs for all entries at once, k from 0
+    to the largest m; sorted by m descending, the entries that still have
+    a k-th term form a shrinking prefix.
+    """
+    ix = _family_indices(dim)
+    x, n, m, l, xm = ix.x, ix.n, ix.m, ix.l, ix.xm
+    co = [damping_coefficients(xi, 1.0, lam, nbar, tau) for xi in range(dim)]
+    E = np.array([c.E for c in co])
+    g = np.array([c.g_bar for c in co])
     q = nbar / (nbar + 1)
-    w = q * g * g          # = zeta * E^2
-    E2 = E * E
-    pref = np.exp(lam * tau / 2 + 1j * x * tau) * E ** (x + 1)
-    P = np.zeros((size, size), dtype=complex)
-    E2_pow = np.empty(size + 1, dtype=complex)
-    E2_pow[0] = 1.0
-    for j in range(size):
-        E2_pow[j + 1] = E2_pow[j] * E2
-    for j in range(size):
-        n, m = j + x, j
-        gl = 1.0 + 0j
-        for l in range(size - j):
-            # E^{n+m+1} F(-n,-m;l+1;zeta) = E^{x+1} sum_k c_k w^k (E^2)^{m-k}
-            s = 0j
-            c = 1.0 + 0j
-            for k in range(m + 1):
-                s += c * E2_pow[m - k]
-                c *= (-n + k) * (-m + k) * w / ((l + 1 + k) * (k + 1))
-            P[j, j + l] = pref * sqrt_binomial_ratio(n, m, l) * gl * s
-            gl *= g
-    for j in range(size):
-        for j2 in range(j):
-            P[j, j2] = q ** (j - j2) * P[j2, j]
-    return P
+    xs = np.arange(dim)
+    pref = np.exp(lam * tau / 2 + 1j * xs * tau) * E ** (xs + 1)
+    E2_pow = _power_table(E * E, dim).ravel()
+    w = (q * g * g)[x]
+    s = np.zeros(len(x), dtype=complex)
+    c = np.ones(len(x), dtype=complex)
+    for k in range(dim):
+        a = ix.active[k]
+        s[:a] += c[:a] * E2_pow[xm[:a] - k]
+        c[:a] *= (k - n[:a]) * (k - m[:a]) * w[:a] / ((l[:a] + 1 + k) * (k + 1))
+    return pref[x] * sqrt_binomial_ratio(n, m, l) * _power_table(g, dim)[x, l] * s
 
 
 @functools.lru_cache(maxsize=64)
@@ -150,23 +199,45 @@ def _propagator_family(dim, lam, nbar, tau, kind):
     kind selects the formula ("thermal" or "zero"); the thermal route at
     nbar = 0 must agree with the zero route but goes through the general
     coefficient machinery, which keeps the two code paths independent.
+    Both build every diagonal's upper entries in one pass over flat index
+    arrays.  Thermal excitation fills the lower triangles by the
+    detailed-balance symmetry of the per-diagonal generator,
+    P[j, j-k] = q^k P[j-k, j] with q = nbar/(nbar+1).  Returns one
+    C-contiguous, read-only block per diagonal x, of size dim - x.
     """
     if kind == "zero":
-        return tuple(_zero_t_propagator(x, dim - x, lam, tau) for x in range(dim))
-    return tuple(_thermal_propagator(x, dim - x, lam, nbar, tau) for x in range(dim))
+        upper, q = _zero_t_upper(dim, lam, tau), 0.0
+    else:
+        upper, q = _thermal_upper(dim, lam, nbar, tau), nbar / (nbar + 1)
+    ix = _family_indices(dim)
+    flat = np.zeros(ix.start[-1], dtype=complex)
+    flat[ix.dest] = upper
+    rows = np.arange(dim)
+    balance = np.tril(q ** np.maximum(rows[:, None] - rows, 0), -1)
+    blocks = []
+    for x in range(dim):
+        size = dim - x
+        P = flat[ix.start[x]:ix.start[x + 1]].reshape(size, size)
+        P = P + balance[:size, :size] * P.T if q else P.copy()
+        P.flags.writeable = False
+        blocks.append(P)
+    return tuple(blocks)
 
 
 def _apply_diagonal_propagators(rho, props):
-    """Apply per-diagonal propagators; compute n >= m, mirror the rest."""
+    """Apply per-diagonal propagators; compute n >= m, mirror the rest.
+
+    Diagonal -x of a (d, d) array is the stride-(d+1) run of its flat
+    view starting at x*d, diagonal +x the run starting at x.
+    """
     d = rho.shape[0]
-    out = np.zeros_like(rho)
+    out = np.zeros((d, d), dtype=complex)
+    flat = out.reshape(-1)
     for x in range(d):
-        src = np.array([rho[j + x, j] for j in range(d - x)])
-        dst = props[x] @ src
-        for j in range(d - x):
-            out[j + x, j] = dst[j]
-            if x:
-                out[j, j + x] = np.conj(dst[j])
+        dst = props[x] @ rho.diagonal(-x)
+        flat[x * d::d + 1] = dst
+        if x:
+            flat[x:x + (d - x) * (d + 1):d + 1] = np.conj(dst)
     return out
 
 
@@ -219,26 +290,27 @@ def kick_unitary(eps, cutoff):
 
     Element (n, m) is e^{-eps^2/2} sqrt(min!/max!) (-i eps)^{|n-m|}
     L_min^{|n-m|}(eps^2); the lower triangle carries the same sign factor
-    as the upper, giving the symmetry U_nm = (-1)^{n-m} U*_mn.
+    as the upper, giving the symmetry U_nm = (-1)^{n-m} U*_mn.  The lower
+    triangle is evaluated at once over its index arrays, its Laguerre values
+    from one recurrence, and mirrored into the upper.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     d = cutoff + 1
-    U = np.zeros((d, d), dtype=complex)
     e2 = eps * eps
-    front = np.exp(-e2 / 2)
-    lnf = [ln_factorial(n) for n in range(d)]
-    for n in range(d):
-        for m in range(n + 1):
-            val = (
-                front
-                * np.exp(0.5 * (lnf[m] - lnf[n]))
-                * (-1j * eps) ** (n - m)
-                * laguerre_assoc(m, n - m, e2)
-            )
-            U[n, m] = val
-            if n != m:
-                U[m, n] = (-1) ** (n - m) * np.conj(val)
+    lnf = np.array([ln_factorial(i) for i in range(d)])
+    n, m = np.tril_indices(d)
+    k = n - m
+    val = (
+        np.exp(-e2 / 2)
+        * np.exp(0.5 * (lnf[m] - lnf[n]))
+        * (-1j * eps) ** k
+        * laguerre_assoc(m, k, e2)
+    )
+    U = np.zeros((d, d), dtype=complex)
+    U[n, m] = val
+    off = k > 0
+    U[m[off], n[off]] = (1 - 2 * (k[off] % 2)) * np.conj(val[off])
     return U
 
 

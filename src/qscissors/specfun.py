@@ -4,6 +4,7 @@ Associated Laguerre polynomials, log-space binomials and the complex damping
 coefficients of the thermal solution.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -11,15 +12,22 @@ import numpy as np
 
 
 def laguerre_assoc(n, k, x):
-    """Associated Laguerre polynomial L_n^k(x) by the three-term recurrence."""
-    if n < 0 or k < 0:
+    """Associated Laguerre polynomial L_n^k(x) by the three-term recurrence.
+
+    n and k may be integer arrays, which broadcast: one run of the
+    recurrence up to max(n) serves every element, each step advancing a
+    whole row of orders k.  Scalar arguments give a scalar.
+    """
+    n, k = np.asarray(n), np.asarray(k)
+    if np.any(n < 0) or np.any(k < 0):
         raise ValueError("n and k must be nonnegative integers")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + k - x
-    for j in range(2, n + 1):
+    n, k = np.broadcast_arrays(n, k)
+    prev, cur = np.ones(n.shape), 1.0 + k - x
+    out = np.where(n == 0, prev, cur)
+    for j in range(2, int(n.max(initial=0)) + 1):
         prev, cur = cur, ((2 * j - 1 + k - x) * cur - (j - 1 + k) * prev) / j
-    return cur
+        np.copyto(out, cur, where=n == j)
+    return out if out.ndim else out[()]
 
 
 def ln_factorial(n):
@@ -29,19 +37,28 @@ def ln_factorial(n):
     return math.lgamma(n + 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _ln_factorials(top):
+    """ln(0!), ..., ln(top!) as a read-only array."""
+    table = np.array([ln_factorial(i) for i in range(top + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def sqrt_binomial_ratio(n, m, l):
     """sqrt(C(n+l, n) C(m+l, m)), evaluated in log space.
 
     These are the binomial weights of the photon-loss ladder; linear-space
-    factorials would overflow long before the cutoffs used here.
+    factorials would overflow long before the cutoffs used here.  n, m and
+    l may be integer arrays, which broadcast; scalar arguments give a float.
     """
-    if n < 0 or m < 0 or l < 0:
+    n, m, l = np.asarray(n), np.asarray(m), np.asarray(l)
+    if np.any(n < 0) or np.any(m < 0) or np.any(l < 0):
         raise ValueError("arguments must be nonnegative")
-    log_c = (
-        ln_factorial(n + l) - ln_factorial(l) - ln_factorial(n)
-        + ln_factorial(m + l) - ln_factorial(l) - ln_factorial(m)
-    )
-    return math.exp(0.5 * log_c)
+    lnf = _ln_factorials(int(max(np.max(n + l), np.max(m + l))))
+    log_c = lnf[n + l] - lnf[l] - lnf[n] + lnf[m + l] - lnf[l] - lnf[m]
+    out = np.exp(0.5 * log_c)
+    return out if out.ndim else float(out)
 
 
 @dataclass

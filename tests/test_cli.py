@@ -247,6 +247,42 @@ def test_out_unwritable_exits_2(tmp_path, capsys):
     assert main(["verify", "--suite", "lqs-ppb", "--out", str(tmp_path)]) == 2
 
 
+def test_abbreviated_flags_exit_2(capsys):
+    # --gamma is nqs's raw damping constant; in lqs it must not stand for
+    # --gamma-bs, nor --r for --r-sq
+    full = ["lqs", "--alpha", "1", "--eta", "0.9", "--gamma-bs", "0.02", "--r-sq", "0.49"]
+    assert _exit_code(full) == 0
+    capsys.readouterr()
+    for i, abbrev in ((5, "--gamma"), (7, "--r")):
+        argv = list(full)
+        argv[i] = abbrev
+        assert _exit_code(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert _exit_code(["--vers"]) == 2
+
+
+def test_verify_unwritable_out_checked_before_suites(tmp_path, monkeypatch, capsys):
+    def run_suites(*args, **kwargs):
+        raise AssertionError("suites ran before --out was checked")
+
+    monkeypatch.setattr("qscissors.cli.run_suites", run_suites)
+    assert main(["verify", "--suite", "lqs-ppb", "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: cannot write --out") and "PASS" not in out.err
+
+
+def test_multi_axis_lqs_unwritable_path_writes_nothing(tmp_path, capsys):
+    (tmp_path / "o_eta0.9.csv").mkdir()
+    argv = ["lqs", "--alpha", "0:1:3", "--eta", "0.8:0.9:2", "--gamma-bs", "0",
+            "--r-sq", "0.5", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    assert "o_eta0.9.csv" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o_eta0.9.csv"]
+    (tmp_path / "o_eta0.9.csv").rmdir()
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o_eta0.8.csv", "o_eta0.9.csv"]
+
+
 def test_verify_single_suite_exit_0(capsys):
     rc = main(["verify", "--suite", "lqs-ppb"])
     assert rc == 0

@@ -1,7 +1,11 @@
 """Tests for kicked damped-Kerr evolution: exact steps, kicks, trajectories."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import hbar, k as k_B
 from scipy.linalg import expm
 
@@ -15,6 +19,8 @@ from qscissors.fock import (
 )
 from qscissors.nqs import (
     NqsParams,
+    _family_indices,
+    _propagator_family,
     analytic_damped_step_thermal,
     analytic_damped_step_zero_T,
     apply_kick,
@@ -24,6 +30,7 @@ from qscissors.nqs import (
     truncation_fidelity,
     unitary_kerr_step,
 )
+from qscissors.specfun import damping_coefficients, sqrt_binomial_ratio
 
 
 def _random_density(seed, dim):
@@ -303,3 +310,133 @@ def test_truncation_fidelity_one_photon_quarter_turn():
     rho = DensityMatrix(np.diag([0.0, 1.0, 0.0]))
     assert truncation_fidelity(rho, 1, np.pi / 2) == pytest.approx(1.0, abs=1e-12)
     assert truncation_fidelity(rho, 0, 0.3) == 0.0
+
+
+# Literal scalar-loop references for the per-diagonal propagators: the
+# element-by-element formulas the array builders in qscissors.nqs must equal.
+
+def _zero_t_propagator_loop(x, size, lam, tau):
+    P = np.zeros((size, size), dtype=complex)
+    lx = lam + 1j * x
+    f = np.exp(-lx * tau)
+    g = lam * (1 - f) / lx if x != 0 else -np.expm1(-lam * tau)
+    for j in range(size):
+        n, m = j + x, j
+        pref = np.exp(1j * x * tau / 2) * np.exp(-lx * tau * (n + m) / 2)
+        gl = 1.0 + 0j
+        for l in range(size - j):
+            P[j, j + l] = pref * sqrt_binomial_ratio(n, m, l) * gl
+            gl *= g
+    return P
+
+
+def _thermal_propagator_loop(x, size, lam, nbar, tau):
+    co = damping_coefficients(x, 1.0, lam, nbar, tau)
+    E, g = co.E, co.g_bar
+    q = nbar / (nbar + 1)
+    w = q * g * g
+    E2 = E * E
+    pref = np.exp(lam * tau / 2 + 1j * x * tau) * E ** (x + 1)
+    P = np.zeros((size, size), dtype=complex)
+    E2_pow = np.empty(size + 1, dtype=complex)
+    E2_pow[0] = 1.0
+    for j in range(size):
+        E2_pow[j + 1] = E2_pow[j] * E2
+    for j in range(size):
+        n, m = j + x, j
+        gl = 1.0 + 0j
+        for l in range(size - j):
+            s = 0j
+            c = 1.0 + 0j
+            for k in range(m + 1):
+                s += c * E2_pow[m - k]
+                c *= (-n + k) * (-m + k) * w / ((l + 1 + k) * (k + 1))
+            P[j, j + l] = pref * sqrt_binomial_ratio(n, m, l) * gl * s
+            gl *= g
+    for j in range(size):
+        for j2 in range(j):
+            P[j, j2] = q ** (j - j2) * P[j2, j]
+    return P
+
+
+_STEP_PARAMS = dict(
+    lam=st.floats(1e-3, 0.5),
+    nbar=st.floats(0.0, 2.0),
+    tau=st.floats(0.05, 5.0),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(2, 25), **_STEP_PARAMS)
+def test_families_equal_scalar_loops(dim, lam, nbar, tau):
+    zero = _propagator_family(dim, lam, 0.0, tau, "zero")
+    thermal = _propagator_family(dim, lam, nbar, tau, "thermal")
+    assert len(zero) == len(thermal) == dim
+    for x in range(dim):
+        assert zero[x].shape == thermal[x].shape == (dim - x, dim - x)
+        assert np.max(np.abs(zero[x] - _zero_t_propagator_loop(x, dim - x, lam, tau))) < 1e-13
+        want = _thermal_propagator_loop(x, dim - x, lam, nbar, tau)
+        assert np.max(np.abs(thermal[x] - want)) < 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(2, 25), **_STEP_PARAMS)
+def test_thermal_family_detailed_balance(dim, lam, nbar, tau):
+    q = nbar / (nbar + 1)
+    for P in _propagator_family(dim, lam, nbar, tau, "thermal"):
+        for k in range(1, P.shape[0]):
+            lower, upper = np.diagonal(P, -k), np.diagonal(P, k)
+            assert np.max(np.abs(lower - q**k * upper)) <= 1e-15 * max(1.0, np.max(np.abs(lower)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    support=st.integers(1, 3),
+    headroom=st.integers(15, 22),
+    lam=st.floats(1e-3, 0.5),
+    nbar=st.floats(0.0, 0.1),
+    tau=st.floats(0.05, 5.0),
+    thermal=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_damped_step_preserves_trace_hermiticity_positivity(
+        support, headroom, lam, nbar, tau, thermal, seed):
+    # a random state on the lowest `support` levels, the `headroom` levels
+    # above it empty; nbar <= 0.1 keeps the thermal spill past the cutoff
+    # below 1e-13 at 15 empty levels
+    dim = support + headroom
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[:support, :support] = _random_density(seed, support).elements
+    rho = DensityMatrix(rho)
+    p = NqsParams(epsilon=0.1, kicks=1, cutoff=dim - 1, lam=lam, nbar=nbar if thermal else 0.0)
+    step = analytic_damped_step_thermal if thermal else analytic_damped_step_zero_T
+    out = step(rho, tau, p)
+    assert abs(out.trace - rho.trace) < 1e-12
+    el = out.elements
+    assert np.max(np.abs(el - el.conj().T)) < 1e-15
+    DensityMatrix(el)  # validates Hermiticity and positivity
+
+
+def test_thermal_family_large_time_no_warning():
+    # d = 81, nbar = 2, tau = 20: the E^2 powers must stay distributed over
+    # the sum's terms, or its intermediates overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (0.05, 0.5):
+            family = _propagator_family(81, lam, 2.0, 20.0, "thermal")
+            assert all(np.all(np.isfinite(P)) for P in family)
+    # populations relax: the x = 0 block is column-stochastic within the cutoff
+    assert np.all(family[0].sum(axis=0).real <= 1.0 + 1e-12)
+
+
+def test_cached_propagators_are_read_only():
+    for kind in ("zero", "thermal"):
+        family = _propagator_family(6, 0.1, 0.2 if kind == "thermal" else 0.0, 1.0, kind)
+        for P in family:
+            assert P.flags.c_contiguous and not P.flags.writeable
+        with pytest.raises(ValueError):
+            family[1][0, 0] = 1.0
+    for arr in _family_indices(6):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0

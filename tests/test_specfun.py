@@ -42,6 +42,42 @@ def test_sqrt_binomial_ratio_matches_comb():
     assert np.isfinite(sqrt_binomial_ratio(80, 80, 60))
 
 
+def test_sqrt_binomial_ratio_arrays_match_scalar_calls():
+    rng = np.random.default_rng(11)
+    n = rng.integers(0, 40, size=(4, 1))
+    m = rng.integers(0, 40, size=(4, 5))
+    l = rng.integers(0, 40, size=5)
+    got = sqrt_binomial_ratio(n, m, l)
+    assert got.shape == (4, 5)
+    for i in range(4):
+        for j in range(5):
+            want = sqrt_binomial_ratio(int(n[i, 0]), int(m[i, j]), int(l[j]))
+            assert isinstance(want, float)
+            assert abs(got[i, j] - want) <= 1e-15 * want
+    for bad in ((np.array([1, -2]), 0, 1), (1, np.array([0, 3]), np.array([2, -1]))):
+        with pytest.raises(ValueError):
+            sqrt_binomial_ratio(*bad)
+
+
+def test_laguerre_arrays_match_scalar_calls():
+    x = 0.37
+    k = np.arange(12)
+    row = laguerre_assoc(7, k, x)
+    assert row.shape == (12,)
+    for kk in k:
+        assert row[kk] == laguerre_assoc(7, int(kk), x)
+    n = np.arange(9)[:, None]
+    table = laguerre_assoc(n, k, x)
+    assert table.shape == (9, 12)
+    for nn in range(9):
+        for kk in k:
+            assert table[nn, kk] == laguerre_assoc(nn, int(kk), x)
+            assert abs(table[nn, kk] - genlaguerre(nn, kk)(x)) < 1e-9 * max(1.0, abs(table[nn, kk]))
+    for bad in ((3, np.array([0, -1])), (np.array([2, -3]), 1)):
+        with pytest.raises(ValueError):
+            laguerre_assoc(*bad, x)
+
+
 def test_damping_coefficients_delta_branch():
     co = damping_coefficients(3, 1.0, 0.2, 0.4, 1.7)
     target = co.omega**2 - 4 * 0.4 * 1.4

@@ -18,6 +18,7 @@ from qscissors import (
     fidelity_closed_form,
     fidelity_unsimplified,
     lqs_projection_oracle,
+    normalization_closed_form,
     truncated_state_general_bs,
 )
 
@@ -34,10 +35,7 @@ def main():
     print(f"  fidelity, environment oracle   {f_gram:.15f}")
     print(f"  spread across routes           {max(abs(f_closed - f_raw), abs(f_closed - f_gram)):.2e}")
     print()
-    a2 = abs(p.alpha) ** 2
-    n2_inv = (p.eta * p.r_mag**2 * a2 * math.exp(p.x * a2)
-              * (p.t**2 * (1 / a2 + 1) + p.r_mag**2 * p.x + p.gamma_bs))
-    print(f"  normalization N, closed form   {1 / math.sqrt(n2_inv):.15f}")
+    print(f"  normalization N, closed form   {normalization_closed_form(p):.15f}")
     print(f"  normalization N, oracle        {N:.15f}")
     print()
 

@@ -36,6 +36,7 @@ from .lqs import (
     fidelity_ppb,
     fidelity_unsimplified,
     lqs_projection_oracle,
+    normalization_closed_form,
     truncated_state_general_bs,
 )
 from .nqs import (

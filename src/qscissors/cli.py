@@ -56,6 +56,13 @@ def parse_range(text):
     raise argparse.ArgumentTypeError(f"malformed range {text!r}; use a number or start:stop:count")
 
 
+def parse_seed(text):
+    """A non-negative integer seed, as numpy's generators take."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
 def _build_parser():
     """The top-level parser and its subparsers by name."""
     ap = argparse.ArgumentParser(prog="qscissors", description=__doc__.split("\n\n")[0],
@@ -93,7 +100,7 @@ def _build_parser():
 
     p_ver = sub.add_parser("verify", help="run oracle-equivalence suites", allow_abbrev=False)
     p_ver.add_argument("--suite", default=None, help=f"one of: {', '.join(SUITES)} (default: all)")
-    p_ver.add_argument("--seed", type=int, default=1234, help="seed for randomized draws")
+    p_ver.add_argument("--seed", type=parse_seed, default=1234, help="seed for randomized draws")
     common(p_ver)
     return ap, sub.choices
 
@@ -253,8 +260,7 @@ def cmd_verify(args):
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    rows = [(r.name, bool(r.passed), float(r.max_dev), float(r.tolerance), r.detail)
-            for r in results]
+    rows = [(r.name, r.passed, r.max_dev, r.tolerance, r.detail) for r in results]
     meta = {"command": "verify", "version": __version__, "seed": args.seed,
             "suites": [r.name for r in results]}
     _emit(rows, VERIFY_COLUMNS, args.fmt, meta, args.out)

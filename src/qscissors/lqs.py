@@ -114,16 +114,29 @@ def fidelity_unsimplified(p):
     """Truncation fidelity assembled from the normalization and overlap forms.
 
     Same quantity as fidelity_closed_form, kept deliberately unsimplified
-    (exponentials and the norm factor intact) as an internal consistency
-    route.
+    (the overlap's exponential intact, times N^2 from
+    normalization_closed_form) as an internal consistency route.
     """
     a2 = abs(p.alpha) ** 2
     if a2 == 0:
         return 1.0
     r2, t2, x, G = p.r_mag**2, p.t**2, p.x, p.gamma_bs
-    n2_inv = p.eta * r2 * a2 * math.exp(x * a2) * (t2 * (1.0 / a2 + 1.0) + r2 * x + G)
     overlap = p.eta * r2 * math.exp(x * a2) * (t2 * (a2 + 1.0) + a2 * (r2 * x + G) / (1.0 + a2))
-    return overlap / n2_inv
+    return overlap * normalization_closed_form(p) ** 2
+
+
+def normalization_closed_form(p):
+    """Normalization N of the conditional scissors output, in closed form.
+
+    N^-2 = eta r^2 e^{x|alpha|^2} (t^2 (1 + |alpha|^2) + |alpha|^2 (r^2 x + Gamma)),
+    evaluated in log space so that N stays finite where e^{x|alpha|^2}
+    alone overflows, and equal to (eta r^2 t^2)^{-1/2} at alpha = 0.
+    """
+    a2 = abs(p.alpha) ** 2
+    bracket = p.eta * p.r_mag**2 * (p.t**2 * (1.0 + a2) + a2 * (p.r_mag**2 * p.x + p.gamma_bs))
+    if bracket == 0:
+        raise ValueError("N is undefined: the heralding event has probability zero")
+    return math.exp(-0.5 * (p.x * a2 + math.log(bracket)))
 
 
 def fidelity_ppb(alpha, eta):

@@ -5,35 +5,29 @@ Each test covers one numbered criterion and prints a single PASS/FAIL line
 Deviations are measured against independent routes: closed forms against
 brute-force oracles, exact propagators against RK4 integration, frozen
 reference values against fresh runs.
+
+Criteria 1-7 are the seven suites of ``qscissors verify``, which holds the
+only implementation of each check; criterion 9 is that CLI run itself.
+All eight read one run, made once per session by the ``verify_run``
+fixture, which also times each suite.  Criterion 8 composes its own
+reference trajectory.
 """
 
+import contextlib
+import io
+import json
 import math
 import time
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
+from qscissors import verify
 from qscissors.cli import main as cli_main
-from qscissors.fock import DensityMatrix, annihilation_matrix, coherent_state
-from qscissors.lindblad import IntegratorConfig, integrate
-from qscissors.lqs import (
-    LqsParams,
-    env_gram_oracle,
-    fidelity_closed_form,
-    fidelity_ppb,
-    fidelity_unsimplified,
-    lqs_projection_oracle,
-    truncated_state_general_bs,
-)
-from qscissors.nqs import (
-    NqsParams,
-    analytic_damped_step_thermal,
-    analytic_damped_step_zero_T,
-    evolve_kicked,
-    kick_unitary,
-    unitary_kerr_step,
-)
-from qscissors.verify import run_suites
+from qscissors.fock import annihilation_matrix
+from qscissors.lindblad import integrate
+from qscissors.nqs import NqsParams, evolve_kicked
 
 # fidelity trajectory of the reference kicked run (criterion 8):
 # lambda = 0.01, nbar = 0, epsilon = 0.1, tau_k = 1, 20 kicks, cutoff 20
@@ -82,6 +76,18 @@ FROZEN_TRAJECTORY = [
 ]
 
 
+# criterion -> (verify suite, time budget in seconds)
+CRITERIA = {
+    1: ("lqs-identity", 1.0),
+    2: ("lqs-ppb", math.inf),
+    3: ("lqs-gram", 10.0),
+    4: ("lqs-projection", 10.0),
+    5: ("nqs-limits", math.inf),
+    6: ("nqs-rk4", 30.0),
+    7: ("nqs-kick", math.inf),
+}
+
+
 def _report(num, label, dev, tol, extra=""):
     ok = dev < tol
     line = (f"{'PASS' if ok else 'FAIL'} criterion {num}: {label}: "
@@ -90,139 +96,66 @@ def _report(num, label, dev, tol, extra=""):
     assert ok, line
 
 
-def _draw_params(rng):
-    g = rng.uniform(0.0, 0.3)
-    return LqsParams(
-        alpha=rng.uniform(1e-3, 3.0) * np.exp(2j * np.pi * rng.uniform()),
-        eta=rng.uniform(1e-3, 1.0),
-        gamma_bs=g,
-        r_mag=math.sqrt(rng.uniform(1e-6, 1.0 - g)),
-    )
+@pytest.fixture(scope="module")
+def verify_run(tmp_path_factory):
+    """One `qscissors verify --format json` run: (exit code, rows, seconds per suite, total)."""
+    seconds = {}
+
+    def timed(name, suite):
+        def run(seed):
+            t0 = time.monotonic()
+            result = suite(seed)
+            seconds[name] = time.monotonic() - t0
+            return result
+        return run
+
+    out = tmp_path_factory.mktemp("verify") / "verify.json"
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(io.StringIO()):
+        for name, suite in list(verify.SUITES.items()):
+            mp.setitem(verify.SUITES, name, timed(name, suite))
+        t0 = time.monotonic()
+        rc = cli_main(["verify", "--format", "json", "--out", str(out)])
+        total = time.monotonic() - t0
+    rows = json.loads(out.read_text())["rows"]
+    return rc, rows, seconds, total
 
 
-def test_criterion_1_fidelity_identity():
-    t0 = time.monotonic()
-    rng = np.random.default_rng(101)
-    dev = 0.0
-    for _ in range(1000):
-        p = _draw_params(rng)
-        dev = max(dev, abs(fidelity_closed_form(p) - fidelity_unsimplified(p)))
-    elapsed = time.monotonic() - t0
-    _report(1, "closed vs unsimplified fidelity, 1000 draws", dev, 1e-12,
-            f", {elapsed:.2f} s")
-    assert elapsed < 1.0
+def _criterion(num, verify_run):
+    name, budget = CRITERIA[num]
+    _, rows, seconds, _ = verify_run
+    (row,) = [r for r in rows if r["suite"] == name]
+    _report(num, f"{name} ({row['detail']})", row["max_dev"], row["tolerance"],
+            f", {seconds[name]:.2f} s")
+    assert row["passed"]
+    assert seconds[name] < budget
 
 
-def test_criterion_2_ppb_reduction():
-    dev = 0.0
-    for alpha in np.linspace(0.05, 2.0, 21):
-        for eta in np.linspace(0.05, 1.0, 11):
-            p = LqsParams(alpha=alpha, eta=eta, gamma_bs=0.0, r_mag=math.sqrt(0.5))
-            dev = max(dev, abs(fidelity_closed_form(p) - fidelity_ppb(alpha, eta)))
-        p1 = LqsParams(alpha=alpha, eta=1.0, gamma_bs=0.0, r_mag=math.sqrt(0.5))
-        dev = max(dev, abs(fidelity_closed_form(p1) - 1.0))
-    _report(2, "lossless balanced scissors vs projection-synthesis form, 21x11 grid",
-            dev, 1e-12)
+def test_criterion_1_fidelity_identity(verify_run):
+    _criterion(1, verify_run)
 
 
-def test_criterion_3_gram_oracle():
-    t0 = time.monotonic()
-    rng = np.random.default_rng(103)
-    dev = 0.0
-    for _ in range(100):
-        p = _draw_params(rng)
-        N, F = env_gram_oracle(p)
-        a2 = abs(p.alpha) ** 2
-        n2_inv = (p.eta * p.r_mag**2 * a2 * math.exp(p.x * a2)
-                  * (p.t**2 * (1 / a2 + 1) + p.r_mag**2 * p.x + p.gamma_bs))
-        dev = max(dev, abs(N - 1 / math.sqrt(n2_inv)))
-        dev = max(dev, abs(F - fidelity_closed_form(p)))
-    elapsed = time.monotonic() - t0
-    _report(3, "environment-mode Gram oracle vs closed N and F, 100 draws",
-            dev, 1e-10, f", {elapsed:.2f} s")
-    assert elapsed < 10.0
+def test_criterion_2_ppb_reduction(verify_run):
+    _criterion(2, verify_run)
 
 
-def test_criterion_4_projection_oracle():
-    t0 = time.monotonic()
-    rng = np.random.default_rng(104)
-    dev = 0.0
-    for alpha in (0.25, 0.5, 0.75, 1.0):
-        for _ in range(10):
-            t2 = rng.uniform(0.2, 0.8)
-            t, r = math.sqrt(t2), 1j * math.sqrt(1 - t2)
-            out, _ = lqs_projection_oracle(alpha, t, r, cutoff=15)
-            ideal = truncated_state_general_bs(alpha, t, r, t, r)
-            dev = max(dev, 1.0 - abs(ideal.overlap(out.normalized())))
-    ta, tb = math.sqrt(0.6), math.sqrt(0.3)
-    out, _ = lqs_projection_oracle(0.9, ta, 1j * math.sqrt(0.4), cutoff=15,
-                                   t2=tb, r2=1j * math.sqrt(0.7))
-    ideal = truncated_state_general_bs(0.9, ta, 1j * math.sqrt(0.4), tb,
-                                       1j * math.sqrt(0.7))
-    dev = max(dev, 1.0 - abs(ideal.overlap(out.normalized())))
-    elapsed = time.monotonic() - t0
-    _report(4, "full Fock-space projection oracle vs two-level output, cutoff 15",
-            dev, 1e-10, f", {elapsed:.2f} s")
-    assert elapsed < 10.0
+def test_criterion_3_gram_oracle(verify_run):
+    _criterion(3, verify_run)
 
 
-def test_criterion_5_analytic_limit_chain():
-    rng = np.random.default_rng(105)
-    A = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    rho = DensityMatrix((A @ A.conj().T) / np.trace(A @ A.conj().T).real)
-    p = NqsParams(epsilon=0.1, kicks=1, cutoff=15, lam=0.2, nbar=0.0)
-    a = analytic_damped_step_thermal(rho, 1.3, p)
-    b = analytic_damped_step_zero_T(rho, 1.3, p)
-    dev_thermal = float(np.max(np.abs(a.elements - b.elements)))
-    _report(5, "thermal propagator at nbar=0 vs zero-temperature form",
-            dev_thermal, 1e-12)
-    p2 = NqsParams(epsilon=0.1, kicks=1, cutoff=15, lam=1e-12)
-    c = analytic_damped_step_zero_T(rho, 0.7, p2)
-    d = unitary_kerr_step(rho, 0.7)
-    dev_unitary = float(np.max(np.abs(c.elements - d.elements)))
-    _report(5, "zero-temperature propagator at lambda->0 vs unitary Kerr",
-            dev_unitary, 1e-8)
+def test_criterion_4_projection_oracle(verify_run):
+    _criterion(4, verify_run)
 
 
-def test_criterion_6_analytic_vs_rk4():
-    t0 = time.monotonic()
-    coh, _ = coherent_state(0.6, 20)
-    rho0 = coh.density_matrix()
-    dev_zero = 0.0
-    for lam in (0.01, 0.05, 0.1):
-        p = NqsParams(epsilon=0.1, kicks=1, cutoff=20, lam=lam)
-        want = analytic_damped_step_zero_T(rho0, 2.0, p).elements
-        got = integrate(rho0, 2.0, p).elements
-        dev_zero = max(dev_zero, float(np.max(np.abs(got - want))))
-    _report(6, "zero-T exact step vs RK4, coherent(0.6), tau=2", dev_zero, 1e-6)
-    coh, _ = coherent_state(0.8, 25)
-    rho0 = coh.density_matrix()
-    dev_th = 0.0
-    for nbar in (0.1, 0.3):
-        p = NqsParams(epsilon=0.1, kicks=1, cutoff=25, lam=0.1, nbar=nbar)
-        want = analytic_damped_step_thermal(rho0, 1.0, p).elements
-        got = integrate(rho0, 1.0, p, IntegratorConfig(dt=5e-4)).elements
-        dev_th = max(dev_th, float(np.max(np.abs(got - want))))
-    elapsed = time.monotonic() - t0
-    _report(6, "thermal exact step vs RK4, coherent(0.8), tau=1", dev_th, 1e-5,
-            f", {elapsed:.1f} s")
-    assert elapsed < 30.0
+def test_criterion_5_analytic_limit_chain(verify_run):
+    _criterion(5, verify_run)
 
 
-def test_criterion_7_kick_matrix():
-    a = annihilation_matrix(30)
-    dev = 0.0
-    for eps in (0.05, 0.1, 0.5):
-        want = expm(-1j * eps * (a + a.conj().T))
-        got = kick_unitary(eps, 30)
-        dev = max(dev, float(np.max(np.abs(got[:21, :21] - want[:21, :21]))))
-    _report(7, "closed-form kick matrix vs expm displacement, interior block",
-            dev, 1e-10)
-    eps = 0.1
-    recs = evolve_kicked(NqsParams(epsilon=eps, kicks=1, cutoff=20))
-    want_f = math.exp(-eps**2) * (math.cos(eps) + eps * math.sin(eps)) ** 2
-    dev_f = abs(recs[1].fidelity - want_f)
-    _report(7, "single kick on vacuum vs closed-form fidelity", dev_f, 1e-12)
+def test_criterion_6_analytic_vs_rk4(verify_run):
+    _criterion(6, verify_run)
+
+
+def test_criterion_7_kick_matrix(verify_run):
+    _criterion(7, verify_run)
 
 
 def test_criterion_8_reference_trajectory():
@@ -251,15 +184,14 @@ def test_criterion_8_reference_trajectory():
     _report(8, "kicked-run fidelities vs frozen reference trajectory", dev_f, 1e-12)
 
 
-def test_criterion_9_verification_suites(capsys):
-    t0 = time.monotonic()
-    results = run_suites()
-    dev = max(r.max_dev / r.tolerance for r in results)
-    assert all(r.passed for r in results), [r.name for r in results if not r.passed]
-    rc = cli_main(["verify"])
-    elapsed = time.monotonic() - t0
-    capsys.readouterr()  # swallow the CLI's own report
-    _report(9, f"all {len(results)} invariant suites + CLI verify (exit {rc}), "
-            "worst deviation/tolerance ratio", dev, 1.0, f", {elapsed:.1f} s")
+def test_criterion_9_verification_suites(verify_run):
+    rc, rows, _, total = verify_run
+    names = [r["suite"] for r in rows]
+    assert sorted(names) == sorted(verify.SUITES), names
+    assert all(r["passed"] == (r["max_dev"] < r["tolerance"]) for r in rows), rows
+    dev = max(r["max_dev"] / r["tolerance"] for r in rows)
+    _report(9, f"all {len(rows)} suites in one CLI verify (exit {rc}), "
+            "worst deviation/tolerance ratio", dev, 1.0, f", {total:.1f} s")
+    assert all(r["passed"] for r in rows), [n for n, r in zip(names, rows) if not r["passed"]]
     assert rc == 0
-    assert elapsed < 60.0
+    assert total < 60.0

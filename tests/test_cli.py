@@ -2,9 +2,11 @@
 
 import csv
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from qscissors import nqs
 from qscissors.cli import main, parse_range
 
 
@@ -291,6 +293,27 @@ def test_verify_single_suite_exit_0(capsys):
     assert rows[0] == ["suite", "passed", "max_dev", "tolerance", "detail"]
     assert rows[1][0] == "lqs-ppb" and rows[1][1] == "true"
     assert "PASS" in out.err
+
+
+@pytest.mark.parametrize("suite", ["lqs-ppb", "lqs-identity"])
+def test_verify_negative_seed_exits_2(tmp_path, capsys, suite):
+    for argv in (["verify", "--suite", suite, "--seed", "-1"],
+                 ["verify", "--config", _write_config(tmp_path, {"suite": suite, "seed": -1})]):
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "argument --seed" in err and "non-negative" in err
+
+
+def test_verify_row_reports_worst_subcheck(monkeypatch, capsys):
+    # the nbar=0 chain (tolerance 1e-12) fails while the lambda->0 chain
+    # (tolerance 1e-8) passes: the row must report the failing sub-check
+    thermal = nqs.analytic_damped_step_thermal
+    monkeypatch.setattr(nqs, "analytic_damped_step_thermal",
+                        lambda *a: SimpleNamespace(elements=thermal(*a).elements + 1e-10))
+    assert main(["verify", "--suite", "nqs-limits", "--format", "json"]) == 1
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["passed"] is False
+    assert row["max_dev"] >= row["tolerance"] == 1e-12
 
 
 def test_verify_unknown_suite_exit_2(capsys):

@@ -14,6 +14,7 @@ from qscissors.lqs import (
     fidelity_ppb,
     fidelity_unsimplified,
     lqs_projection_oracle,
+    normalization_closed_form,
     truncated_state_general_bs,
 )
 
@@ -47,19 +48,16 @@ def test_x_commutator():
     assert abs(p.x - (0.8 * 0.1 + 0.2)) < 1e-15
 
 
-def test_closed_equals_unsimplified():
-    rng = np.random.default_rng(21)
-    for _ in range(200):
-        g = rng.uniform(0.0, 0.3)
-        p = LqsParams(
-            alpha=rng.uniform(1e-3, 3.0) * np.exp(2j * np.pi * rng.uniform()),
-            eta=rng.uniform(1e-3, 1.0),
-            gamma_bs=g,
-            r_mag=math.sqrt(rng.uniform(1e-6, 1.0 - g)),
-        )
-        a = fidelity_closed_form(p)
-        b = fidelity_unsimplified(p)
-        assert abs(a - b) < 1e-12
+@pytest.mark.parametrize("alpha", [0.3, 1.0 * cmath.exp(2.1j), 2.5])
+def test_normalization_closed_form_matches_exp_form(alpha):
+    p = LqsParams(alpha=alpha, eta=0.8, gamma_bs=0.1, r_mag=0.6)
+    a2 = abs(alpha) ** 2
+    n2_inv = (p.eta * p.r_mag**2 * a2 * math.exp(p.x * a2)
+              * (p.t**2 * (1 / a2 + 1) + p.r_mag**2 * p.x + p.gamma_bs))
+    assert abs(normalization_closed_form(p) * math.sqrt(n2_inv) - 1.0) < 1e-14
+    p0 = LqsParams(alpha=0.0, eta=0.8, gamma_bs=0.1, r_mag=0.6)
+    want = (p0.eta * p0.r_mag**2 * p0.t**2) ** -0.5
+    assert abs(normalization_closed_form(p0) / want - 1.0) < 1e-14
 
 
 def test_vacuum_input_is_exact():
@@ -95,10 +93,7 @@ def test_general_bs_amplitudes():
 def test_gram_oracle_matches_closed_forms():
     p = LqsParams(alpha=1.0, eta=0.9, gamma_bs=0.02, r_mag=math.sqrt(0.49))
     N, F = env_gram_oracle(p)
-    a2 = abs(p.alpha) ** 2
-    n2_inv = (p.eta * p.r_mag**2 * a2 * math.exp(p.x * a2)
-              * (p.t**2 * (1 / a2 + 1) + p.r_mag**2 * p.x + p.gamma_bs))
-    assert abs(N - 1 / math.sqrt(n2_inv)) < 1e-12
+    assert abs(N - normalization_closed_form(p)) < 1e-12
     assert abs(F - fidelity_closed_form(p)) < 1e-12
     # frozen values for this parameter point
     assert abs(N - 1.3802299399611027) < 1e-12
@@ -110,10 +105,7 @@ def test_gram_oracle_large_amplitude_cutoff_search():
     # bound the tail without subtracting from e^65
     p = LqsParams(alpha=10.0, eta=0.5, gamma_bs=0.3, r_mag=0.5)
     N, F = env_gram_oracle(p)
-    a2 = abs(p.alpha) ** 2
-    n2_inv = (p.eta * p.r_mag**2 * a2 * math.exp(p.x * a2)
-              * (p.t**2 * (1 / a2 + 1) + p.r_mag**2 * p.x + p.gamma_bs))
-    assert abs(N * math.sqrt(n2_inv) - 1.0) < 1e-10
+    assert abs(N / normalization_closed_form(p) - 1.0) < 1e-10
     assert abs(F - fidelity_closed_form(p)) < 1e-10
     # a cutoff below the peak is refused
     with pytest.raises(CutoffError):
@@ -123,13 +115,10 @@ def test_gram_oracle_large_amplitude_cutoff_search():
 @pytest.mark.parametrize("alpha", [18.0, 18.0 * cmath.exp(0.7j), 40.0])
 def test_gram_oracle_past_float_range_of_exponential(alpha):
     # x|alpha|^2 = 210.6 and 1040; e^{x|alpha|^2} overflows a float at the
-    # second, so the closed-form N is compared in log space
+    # second, where the closed-form N needs its log-space evaluation
     p = LqsParams(alpha=alpha, eta=0.5, gamma_bs=0.3, r_mag=0.5)
     N, F = env_gram_oracle(p)
-    a2 = abs(p.alpha) ** 2
-    log_n2_inv = (math.log(p.eta * p.r_mag**2 * a2) + p.x * a2
-                  + math.log(p.t**2 * (1 / a2 + 1) + p.r_mag**2 * p.x + p.gamma_bs))
-    assert abs(N * math.exp(0.5 * log_n2_inv) - 1.0) < 1e-10
+    assert abs(N / normalization_closed_form(p) - 1.0) < 1e-10
     assert abs(F - fidelity_closed_form(p)) < 1e-10
 
 

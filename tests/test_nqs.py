@@ -139,15 +139,20 @@ def test_thermal_step_cutoff_error_on_top_heavy_state():
         analytic_damped_step_thermal(rho, 1.0, p)
 
 
-def test_kick_unitary_is_unitary_and_symmetric():
-    for eps in (0.05, 0.3):
-        U = kick_unitary(eps, 25)
-        # interior unitarity; the last rows feel the cutoff
-        G = U.conj().T @ U
-        assert np.max(np.abs(G[:15, :15] - np.eye(25 + 1)[:15, :15])) < 1e-10
-        for n in range(10):
-            for m in range(10):
-                assert abs(U[n, m] - (-1) ** (n - m) * np.conj(U[m, n])) < 1e-14
+@settings(max_examples=40, deadline=None)
+@given(eps=st.floats(0.01, 0.5), cutoff=st.integers(10, 60))
+def test_kick_unitary_is_unitary_and_symmetric(eps, cutoff):
+    d = cutoff + 1
+    U = kick_unitary(eps, cutoff)
+    # closed-form entries do not depend on the cutoff, so a larger matrix
+    # holds this one as its leading block, and its first d columns (far
+    # from its own truncation edge) are orthonormal
+    big = kick_unitary(eps, cutoff + 40)
+    assert np.array_equal(U, big[:d, :d])
+    cols = big[:, :d]
+    assert np.max(np.abs(cols.conj().T @ cols - np.eye(d))) < 1e-12
+    sign = (-1.0) ** np.subtract.outer(np.arange(d), np.arange(d))
+    assert np.max(np.abs(U - sign * U.conj().T)) < 1e-14
 
 
 def test_kick_matches_displacement_expm():

@@ -88,9 +88,7 @@ def _build_parser():
     p_nqs = sub.add_parser("nqs", help="kicked Kerr-oscillator trajectory", allow_abbrev=False)
     p_nqs.add_argument("--epsilon", type=float, default=None, help="kick strength")
     p_nqs.add_argument("--lambda", type=float, default=None, dest="lam",
-                       help="damping/nonlinearity ratio gamma/kappa")
-    p_nqs.add_argument("--kappa", type=float, default=None, help="Kerr coupling (raw units)")
-    p_nqs.add_argument("--gamma", type=float, default=None, help="damping constant (raw units)")
+                       help="damping rate in units of the Kerr coupling")
     p_nqs.add_argument("--nbar", type=float, default=None, help="thermal occupation")
     p_nqs.add_argument("--tau-k", type=float, default=None, dest="tau_k",
                        help="scaled kick period")
@@ -177,6 +175,8 @@ def _emit(rows, columns, fmt, meta, out_path):
 
 
 def _lqs_point(alpha, eta, gamma_bs, r_sq):
+    if not 0.0 <= r_sq <= 1.0:
+        raise ValueError(f"--r-sq must lie in [0, 1], got {r_sq}")
     p = LqsParams(alpha=alpha, eta=eta, gamma_bs=gamma_bs, r_mag=r_sq**0.5)
     f_ppb = fidelity_ppb(alpha, eta) if gamma_bs == 0 and abs(r_sq - 0.5) < 1e-12 else None
     return (abs(alpha), eta, gamma_bs, r_sq, fidelity_closed_form(p), f_ppb)
@@ -213,14 +213,18 @@ def cmd_lqs(args):
     meta_base = {"command": "lqs", "version": __version__, "format": args.fmt,
                  "swept_axis": sweep_key,
                  "axes": {k: [_fmt_cell(v) for v in axes[k]] for k in axes}}
-    for combo, out_path in zip(combos, out_paths):
+    # every table is built before the first is written, so a bad point
+    # leaves no partial output
+    tables = []
+    for combo in combos:
         fixed = dict(zip(extra, combo))
         rows = []
         for v in axes[sweep_key]:
             point = {k: fixed.get(k, axes[k][0]) for k in axes}
             point[sweep_key] = v
             rows.append(_lqs_point(**point))
-        meta = dict(meta_base, fixed={k: _fmt_cell(v) for k, v in fixed.items()})
+        tables.append((rows, dict(meta_base, fixed={k: _fmt_cell(v) for k, v in fixed.items()})))
+    for (rows, meta), out_path in zip(tables, out_paths):
         _emit(rows, LQS_COLUMNS, args.fmt, meta, out_path)
     return 0
 
@@ -231,7 +235,7 @@ def cmd_nqs(args):
     if missing:
         raise ValueError(f"missing required nqs parameter(s): {', '.join(missing)}")
     kw = dict(epsilon=req["epsilon"], kicks=req["kicks"], cutoff=req["cutoff"])
-    for k in ("lam", "gamma", "kappa", "nbar", "tau_k"):
+    for k in ("lam", "nbar", "tau_k"):
         if getattr(args, k) is not None:
             kw[k] = getattr(args, k)
     p = NqsParams(**kw)
@@ -244,9 +248,8 @@ def cmd_nqs(args):
         rows.append((r.kick_index, r.tau, r.fidelity, r.trace, r.purity, r.mean_n,
                      el[0, 0].real, el[0, 1].real, el[0, 1].imag, el[1, 1].real))
     meta = {"command": "nqs", "version": __version__, "format": args.fmt,
-            "params": {"epsilon": p.epsilon, "lambda": p.lam, "kappa": p.kappa,
-                       "gamma": p.gamma, "nbar": p.nbar, "tau_k": p.tau_k,
-                       "kicks": p.kicks, "cutoff": p.cutoff}}
+            "params": {"epsilon": p.epsilon, "lambda": p.lam, "nbar": p.nbar,
+                       "tau_k": p.tau_k, "kicks": p.kicks, "cutoff": p.cutoff}}
     _emit(rows, NQS_COLUMNS, args.fmt, meta, args.out)
     return 0
 

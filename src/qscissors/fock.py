@@ -14,13 +14,26 @@ import warnings
 import numpy as np
 from scipy.linalg import expm
 
+from .specfun import _ln_factorials
+
 NORM_TOL = 1e-10
 HERM_TOL = 1e-12
 EIG_TOL = 1e-9
+LEAKAGE_TOL = 1e-8
 
 
 class CutoffError(RuntimeError):
     """Raised when a Fock cutoff is too small for the requested evolution."""
+
+
+def check_trace_drift(rho_in, rho_out, what):
+    """Raise CutoffError if `what` moved the trace from rho_in to rho_out by
+    more than LEAKAGE_TOL: trace-preserving evolution on a truncated space
+    loses trace only by pushing population past the cutoff."""
+    drift = abs(float(np.trace(rho_out).real) - float(np.trace(rho_in).real))
+    if drift > LEAKAGE_TOL:
+        raise CutoffError(f"{what}: trace drifted by {drift:.3e} (tolerance "
+                          f"{LEAKAGE_TOL:.0e}); the state reaches the cutoff, enlarge it")
 
 
 class FockVector:
@@ -143,8 +156,7 @@ def coherent_amplitudes(alpha, dim):
         amp[0] = 1.0
         return amp
     n = np.arange(dim)
-    log_fact = np.array([math.lgamma(k + 1) for k in n])
-    log_mod = -abs(alpha) ** 2 / 2 + n * math.log(abs(alpha)) - 0.5 * log_fact
+    log_mod = -abs(alpha) ** 2 / 2 + n * math.log(abs(alpha)) - 0.5 * _ln_factorials(dim - 1)
     return np.exp(log_mod) * np.exp(1j * n * np.angle(alpha))
 
 

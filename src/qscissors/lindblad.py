@@ -10,15 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import CutoffError, DensityMatrix, annihilation_matrix
+from .fock import DensityMatrix, annihilation_matrix, check_trace_drift
 
 
 @dataclass
 class IntegratorConfig:
-    """RK4 settings: scaled-time step and allowed trace leakage."""
+    """RK4 settings: the scaled-time step."""
 
     dt: float = 1e-3
-    leakage_tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -76,6 +75,9 @@ def integrate(rho0, tau_total, p, cfg=None):
     attributes, e.g. nqs.NqsParams).  Integrates in scaled time tau =
     kappa*t, so the Kerr coefficient is 1 and the damping rate is lambda.
     At least 10 steps are always taken per segment.
+
+    Raises:
+        CutoffError: if the trace drifts by more than fock.LEAKAGE_TOL.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -86,14 +88,8 @@ def integrate(rho0, tau_total, p, cfg=None):
         return DensityMatrix(rho)
     n_steps = max(int(np.ceil(tau_total / cfg.dt - 1e-12)), 10)
     h = tau_total / n_steps
-    trace0 = float(np.trace(rho).real)
-    rho = _rk4_run(rho, n_steps, h, p.lam, p.nbar)
-    if not np.all(np.isfinite(rho)):
+    out = _rk4_run(rho, n_steps, h, p.lam, p.nbar)
+    if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite values in RK4 integration")
-    drift = abs(float(np.trace(rho).real) - trace0)
-    if drift > cfg.leakage_tolerance:
-        raise CutoffError(
-            f"trace drifted by {drift:.3e} over tau={tau_total} "
-            f"(tolerance {cfg.leakage_tolerance:.1e}); raise the cutoff"
-        )
-    return DensityMatrix(rho)
+    check_trace_drift(rho, out, f"RK4 over tau={tau_total}")
+    return DensityMatrix(out)

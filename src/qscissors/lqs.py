@@ -9,9 +9,10 @@ Fock-space simulation of the lossless pipeline and an explicit environment-
 mode realization of the Langevin noise operators.
 """
 
+import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,37 +34,32 @@ class LqsParams:
     """Scissors parameters: identical lossy BSs and finite-efficiency detectors.
 
     The BS convention is t real, r = i*r_mag, which keeps the phase-noise
-    coefficient Omega = t r^* + t^* r identically zero.  Amplitude loss per
-    BS is Gamma = 1 - t^2 - r_mag^2; any two of (t, r_mag, gamma_bs)
-    determine the third.
+    coefficient Omega = t r^* + t^* r identically zero.  Each BS dissipates
+    Gamma = gamma_bs, with t^2 + r_mag^2 + Gamma = 1, so the inputs are
+    r_mag and Gamma and t = sqrt(1 - Gamma - r_mag^2) is derived once,
+    here.  alpha must be finite, r_mag lie in [0, 1], Gamma in [0, 1] with
+    r_mag^2 + Gamma <= 1, and eta in (0, 1].
     """
 
     alpha: complex
+    gamma_bs: float
+    r_mag: float
     eta: float = 1.0
-    t: float | None = None
-    r_mag: float | None = None
-    gamma_bs: float | None = None
+    t: float = field(init=False)
 
     def __post_init__(self):
-        given = [v is not None for v in (self.t, self.r_mag, self.gamma_bs)]
-        if sum(given) < 2:
-            raise ValueError("supply at least two of (t, r_mag, gamma_bs)")
-        if self.gamma_bs is None:
-            self.gamma_bs = 1.0 - self.t**2 - self.r_mag**2
-        elif self.t is None:
-            self.t = math.sqrt(1.0 - self.gamma_bs - self.r_mag**2)
-        elif self.r_mag is None:
-            self.r_mag = math.sqrt(1.0 - self.gamma_bs - self.t**2)
-        resid = abs(self.t**2 + self.r_mag**2 + self.gamma_bs - 1.0)
-        if resid > 1e-10:
-            raise ValueError(f"t^2 + r_mag^2 + Gamma = {1 + resid:.12f}, must be 1")
-        if not 0.0 <= self.t <= 1.0 or not 0.0 <= self.r_mag <= 1.0:
-            raise ValueError("t and r_mag must lie in [0, 1]")
-        if self.gamma_bs < -1e-12:
-            raise ValueError("Gamma must be nonnegative")
-        self.gamma_bs = max(self.gamma_bs, 0.0)
+        if not cmath.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if not 0.0 <= self.r_mag <= 1.0:
+            raise ValueError(f"r_mag must lie in [0, 1], got {self.r_mag}")
+        if not 0.0 <= self.gamma_bs <= 1.0:
+            raise ValueError(f"Gamma (gamma_bs) must lie in [0, 1], got {self.gamma_bs}")
+        t_sq = 1.0 - self.gamma_bs - self.r_mag**2
+        if t_sq < -1e-12:
+            raise ValueError(f"r_mag^2 + Gamma (gamma_bs) = {1.0 - t_sq:.12g} exceeds 1")
         if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must lie in (0, 1]")
+            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
+        self.t = math.sqrt(max(t_sq, 0.0))
 
     @property
     def r(self):
@@ -74,11 +70,6 @@ class LqsParams:
     def x(self):
         """Detector-dressed loss commutator eta*Gamma + (1 - eta)."""
         return self.eta * self.gamma_bs + 1.0 - self.eta
-
-    @property
-    def omega(self):
-        """Phase-noise coefficient t r^* + t^* r; zero by the convention here."""
-        return 0.0
 
 
 def truncated_state_general_bs(alpha, t1, r1, t2, r2):
@@ -100,14 +91,20 @@ def truncated_state_general_bs(alpha, t1, r1, t2, r2):
 def fidelity_closed_form(p):
     """Truncation fidelity of the lossy scissors, simplified form.
 
-    Exactly 1 at alpha = 0 (vacuum truncates to itself).
+    Exactly 1 at alpha = 0 (vacuum truncates to itself).  Undefined, and
+    a ValueError, where the heralding event has probability zero with a
+    coherent input: t = 0 with lossless splitters and ideal detectors.
     """
     a2 = abs(p.alpha) ** 2
     if a2 == 0:
         return 1.0
     R = 1.0 / a2
     loss = p.x * p.r_mag**2 + p.gamma_bs
-    return 1.0 - loss / ((1.0 + R) * (loss + p.t**2 * (1.0 + R)))
+    denom = loss + p.t**2 * (1.0 + R)
+    if denom == 0:
+        raise ValueError("F is undefined: the heralding event has probability zero "
+                         "(t = 0, Gamma = 0, eta = 1)")
+    return 1.0 - loss / ((1.0 + R) * denom)
 
 
 def fidelity_unsimplified(p):

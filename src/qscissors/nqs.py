@@ -16,6 +16,7 @@ matrix-vector product per diagonal, read and written through strided views.
 """
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,19 +24,19 @@ from typing import NamedTuple
 import numpy as np
 from scipy.constants import hbar, k as k_B
 
-from .fock import CutoffError, DensityMatrix
-from .specfun import damping_coefficients, laguerre_assoc, ln_factorial, sqrt_binomial_ratio
-
-STEP_LEAKAGE_TOL = 1e-8
+from .fock import DensityMatrix, check_trace_drift
+from .specfun import _ln_factorials, damping_coefficients, laguerre_assoc, sqrt_binomial_ratio
 
 
 @dataclass
 class NqsParams:
     """Protocol parameters for the kicked Kerr oscillator.
 
-    Times are scaled by the Kerr coupling (tau = kappa*t), so the free
-    evolution depends only on lambda = gamma/kappa and nbar.  Either lam
-    or gamma may be given; with kappa defaulted to 1 they coincide.
+    Times are in units of the inverse Kerr coupling and lam is the damping
+    rate in units of the Kerr coupling, so the free evolution depends only
+    on lam and nbar; the kick period tau_k is a scaled time too.  epsilon,
+    tau_k, lam and nbar must be finite, tau_k positive and the others
+    nonnegative; kicks >= 0 and cutoff >= 1.
 
     tau_k defaults to 1.0: the kick period only needs to be long enough
     for the detector/reservoir to act, but tau_k = 2*pi would be a full
@@ -47,23 +48,14 @@ class NqsParams:
     kicks: int
     cutoff: int
     tau_k: float = 1.0
-    kappa: float = 1.0
-    gamma: float | None = None
-    lam: float | None = None
+    lam: float = 0.0
     nbar: float = 0.0
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.lam is None and self.gamma is None:
-            self.lam = 0.0
-            self.gamma = 0.0
-        elif self.lam is None:
-            self.lam = self.gamma / self.kappa
-        elif self.gamma is None:
-            self.gamma = self.lam * self.kappa
-        elif abs(self.gamma - self.lam * self.kappa) > 1e-12 * max(1.0, abs(self.gamma)):
-            raise ValueError("inconsistent gamma, lam, kappa")
+        for name, value in (("epsilon", self.epsilon), ("tau_k", self.tau_k),
+                            ("lambda", self.lam), ("nbar", self.nbar)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
         if self.nbar < 0:
@@ -175,7 +167,7 @@ def _thermal_upper(dim, lam, nbar, tau):
     """
     ix = _family_indices(dim)
     x, n, m, l, xm = ix.x, ix.n, ix.m, ix.l, ix.xm
-    co = [damping_coefficients(xi, 1.0, lam, nbar, tau) for xi in range(dim)]
+    co = [damping_coefficients(xi, lam, nbar, tau) for xi in range(dim)]
     E = np.array([c.E for c in co])
     g = np.array([c.g_bar for c in co])
     q = nbar / (nbar + 1)
@@ -192,7 +184,11 @@ def _thermal_upper(dim, lam, nbar, tau):
     return pref[x] * sqrt_binomial_ratio(n, m, l) * _power_table(g, dim)[x, l] * s
 
 
-@functools.lru_cache(maxsize=64)
+# Every step of a trajectory reuses one family, and no caller alternates
+# between more than two (nqs-limits: thermal and zero-T at one point); a
+# cutoff-30 family holds about 10^4 complex entries, so a deeper cache only
+# keeps dead families alive.
+@functools.lru_cache(maxsize=2)
 def _propagator_family(dim, lam, nbar, tau, kind):
     """All per-diagonal propagators for one (lam, nbar, tau) damped step.
 
@@ -241,15 +237,6 @@ def _apply_diagonal_propagators(rho, props):
     return out
 
 
-def _leakage_guard(rho_in, rho_out, what):
-    drift = abs(float(np.trace(rho_out).real) - float(np.trace(rho_in).real))
-    if drift > STEP_LEAKAGE_TOL:
-        raise CutoffError(
-            f"{what}: trace leaked {drift:.3e} in one step (tolerance "
-            f"{STEP_LEAKAGE_TOL:.0e}); state reaches the cutoff, enlarge it"
-        )
-
-
 def analytic_damped_step_thermal(rho_in, tau, p):
     """Exact damped-Kerr step at reservoir occupation nbar, duration tau (scaled).
 
@@ -260,7 +247,7 @@ def analytic_damped_step_thermal(rho_in, tau, p):
     rho = rho_in.elements
     props = _propagator_family(rho.shape[0], float(p.lam), float(p.nbar), float(tau), "thermal")
     out = _apply_diagonal_propagators(rho, props)
-    _leakage_guard(rho, out, "thermal step")
+    check_trace_drift(rho, out, "thermal step")
     return DensityMatrix(out)
 
 
@@ -273,7 +260,7 @@ def analytic_damped_step_zero_T(rho_in, tau, p):
     rho = rho_in.elements
     props = _propagator_family(rho.shape[0], float(p.lam), 0.0, float(tau), "zero")
     out = _apply_diagonal_propagators(rho, props)
-    _leakage_guard(rho, out, "zero-T step")
+    check_trace_drift(rho, out, "zero-T step")
     return DensityMatrix(out)
 
 
@@ -298,7 +285,7 @@ def kick_unitary(eps, cutoff):
         raise ValueError("cutoff must be >= 1")
     d = cutoff + 1
     e2 = eps * eps
-    lnf = np.array([ln_factorial(i) for i in range(d)])
+    lnf = _ln_factorials(d - 1)
     n, m = np.tril_indices(d)
     k = n - m
     val = (
@@ -364,7 +351,8 @@ def evolve_kicked(p, initial=None):
             smaller than the cutoff dimension are zero-padded.
 
     Raises:
-        CutoffError: if any step leaks more than 1e-8 of trace.
+        fock.CutoffError: if any step moves the trace by more than
+            fock.LEAKAGE_TOL (1e-8).
     """
     d = p.cutoff + 1
     if initial is None:

@@ -76,35 +76,30 @@ class DampingCoefficients:
     g_bar: complex
 
 
-def damping_coefficients(x, kappa, gamma, nbar, t):
+def damping_coefficients(x, lam, nbar, tau):
     """Coefficients Omega_x, Delta_x, t_x, E_x, g_bar_x of the damped step.
 
-    x is the diagonal offset n - m, kappa the Kerr strength, gamma the
-    damping rate, nbar the thermal occupation, t the (unscaled) duration.
-    gamma = 0 is outside this operation's domain; the lossless case goes
-    through the unitary Kerr step instead.
+    x is the diagonal offset n - m, lam the damping rate in units of the
+    Kerr coupling, nbar the thermal occupation and tau the duration in
+    units of the inverse Kerr coupling.  lam = 0 is outside this
+    operation's domain; the lossless case goes through the unitary Kerr
+    step instead.
+
+    With D = (Omega + Delta) + (Delta - Omega) e^{-2 t_x}, E = 2 Delta
+    e^{-t_x}/D and g_bar = 2 (nbar + 1)(1 - e^{-2 t_x})/D: the sinh/cosh
+    forms with e^{t_x} factored out, stable for Re(t_x) >= 0 (which the
+    principal branch of Delta guarantees).  1 - e^{-2 t_x} goes through
+    expm1, so one formula holds down to t_x = 0, where g_bar = 0 exactly.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive; lambda = 0 is the unitary Kerr path")
+    if lam <= 0:
+        raise ValueError("lam must be positive; lambda = 0 is the unitary Kerr path")
     if nbar < 0:
         raise ValueError("nbar must be nonnegative")
-    omega = 1 + 2 * nbar + 1j * kappa * x / gamma
+    omega = 1 + 2 * nbar + 1j * x / lam
     delta = np.sqrt(complex(omega**2 - 4 * nbar * (nbar + 1)))
-    t_x = gamma * delta * t / 2
-    if abs(t_x) < 1e-6:
-        # sinh/cosh -> t_x + O(t^3), coth -> 1/t + t/3 - t^3/45
-        coth = 1 / t_x + t_x / 3 - t_x**3 / 45 if t_x != 0 else None
-        if coth is None:
-            E = 1.0 + 0j
-            g_bar = 0.0 + 0j
-        else:
-            E = delta / (omega * np.sinh(t_x) + delta * np.cosh(t_x))
-            g_bar = 2 * (nbar + 1) / (omega + delta * coth)
-    else:
-        # factor e^{t_x} out of sinh/cosh: stable for Re(t_x) >= 0, which the
-        # principal branch of delta guarantees
-        em2 = np.exp(-2 * t_x)
-        E = 2 * delta * np.exp(-t_x) / ((omega + delta) + (delta - omega) * em2)
-        coth = (1 + em2) / (1 - em2)
-        g_bar = 2 * (nbar + 1) / (omega + delta * coth)
+    t_x = lam * delta * tau / 2
+    em2 = np.exp(-2 * t_x)
+    D = (omega + delta) + (delta - omega) * em2
+    E = 2 * delta * np.exp(-t_x) / D
+    g_bar = 2 * (nbar + 1) * -np.expm1(-2 * t_x) / D
     return DampingCoefficients(omega=omega, delta=delta, t_x=t_x, E=E, g_bar=g_bar)

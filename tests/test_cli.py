@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -117,15 +118,22 @@ def test_lqs_colliding_file_tags_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_removed_flags_exit_2(capsys):
-    # each subcommand takes only the options it reads
+def test_removed_flags_exit_2(tmp_path, capsys):
+    # each subcommand takes only the options it reads; nqs takes the damping
+    # only as --lambda, not as the raw --kappa and --gamma
     lqs = ["lqs", "--alpha", "0.5", "--eta", "1", "--gamma-bs", "0", "--r-sq", "0.5"]
     nqs = ["nqs", "--epsilon", "0.1", "--kicks", "1", "--cutoff", "8"]
     for argv in (lqs + ["--jobs", "2"], lqs + ["--seed", "3"], nqs + ["--jobs", "2"],
-                 nqs + ["--seed", "3"], ["verify", "--suite", "lqs-ppb", "--jobs", "1"]):
+                 nqs + ["--seed", "3"], ["verify", "--suite", "lqs-ppb", "--jobs", "1"],
+                 nqs + ["--kappa", "2"], nqs + ["--gamma", "0.04"]):
         assert _exit_code(argv) == 2
         err = capsys.readouterr()
         assert "unrecognized arguments" in err.err and err.out == ""
+    for key in ("kappa", "gamma"):
+        doc = {"epsilon": 0.1, "kicks": 1, "cutoff": 8, key: 2.0}
+        assert _exit_code(["nqs", "--config", _write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr()
+        assert f"unknown key {key!r}" in err.err and err.out == ""
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -153,16 +161,6 @@ def test_nqs_zero_kicks_single_row(capsys):
     assert rc == 0
     rows = capsys.readouterr().out.splitlines()
     assert len(rows) == 2
-
-
-def test_nqs_raw_rates_echoed_in_meta(capsys):
-    rc = main(["nqs", "--epsilon", "0.1", "--kappa", "2", "--gamma", "0.04",
-               "--kicks", "1", "--cutoff", "10", "--format", "json"])
-    assert rc == 0
-    meta = json.loads(capsys.readouterr().out)["meta"]
-    assert meta["params"]["lambda"] == pytest.approx(0.02)
-    assert meta["params"]["kappa"] == 2.0
-    assert meta["params"]["gamma"] == 0.04
 
 
 def test_nqs_cutoff_error_exits_1(capsys):
@@ -227,8 +225,8 @@ def test_config_defects_exit_2(tmp_path, capsys, sub, doc):
      ["nqs", "--epsilon", "0.1", "--lambda", "0.01", "--kicks", "3", "--cutoff", "15",
       "--format", "json"]),
     # a string value parses exactly as the flag would
-    ({"epsilon": "0.1", "kappa": 2, "gamma": 0.04, "tau_k": 1.5, "kicks": "2", "cutoff": 10},
-     ["nqs", "--epsilon", "0.1", "--kappa", "2", "--gamma", "0.04", "--tau-k", "1.5",
+    ({"epsilon": "0.1", "lambda": "0.02", "tau_k": 1.5, "kicks": "2", "cutoff": 10},
+     ["nqs", "--epsilon", "0.1", "--lambda", "0.02", "--tau-k", "1.5",
       "--kicks", "2", "--cutoff", "10"]),
     ({"suite": "lqs-ppb", "seed": 7, "format": "json"},
      ["verify", "--suite", "lqs-ppb", "--seed", "7", "--format", "json"]),
@@ -250,8 +248,7 @@ def test_out_unwritable_exits_2(tmp_path, capsys):
 
 
 def test_abbreviated_flags_exit_2(capsys):
-    # --gamma is nqs's raw damping constant; in lqs it must not stand for
-    # --gamma-bs, nor --r for --r-sq
+    # --gamma must not stand for --gamma-bs, nor --r for --r-sq
     full = ["lqs", "--alpha", "1", "--eta", "0.9", "--gamma-bs", "0.02", "--r-sq", "0.49"]
     assert _exit_code(full) == 0
     capsys.readouterr()
@@ -283,6 +280,47 @@ def test_multi_axis_lqs_unwritable_path_writes_nothing(tmp_path, capsys):
     (tmp_path / "o_eta0.9.csv").rmdir()
     assert main(argv) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["o_eta0.8.csv", "o_eta0.9.csv"]
+
+
+_LQS = ["lqs", "--alpha", "1", "--eta", "0.9"]
+_NQS = ["nqs", "--epsilon", "0.1", "--kicks", "2", "--cutoff", "10"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (_LQS + ["--gamma-bs", "0", "--r-sq", "-0.25"], "--r-sq"),
+    (_LQS + ["--gamma-bs", "0.6", "--r-sq", "0.6"], "gamma_bs"),
+    (_LQS + ["--gamma-bs", "0", "--r-sq", "1.5"], "--r-sq"),
+    (_LQS + ["--gamma-bs", "0", "--r-sq", "nan"], "--r-sq"),
+    (_LQS + ["--gamma-bs", "nan", "--r-sq", "0.5"], "gamma_bs"),
+    (["lqs", "--alpha", "nan", "--eta", "0.9", "--gamma-bs", "0", "--r-sq", "0.5"], "alpha"),
+    (["lqs", "--alpha", "inf", "--eta", "0.9", "--gamma-bs", "0", "--r-sq", "0.5"], "alpha"),
+    (["lqs", "--alpha", "1", "--eta", "nan", "--gamma-bs", "0", "--r-sq", "0.5"], "eta"),
+    (["lqs", "--alpha", "1", "--eta", "1", "--gamma-bs", "0", "--r-sq", "1"], "heralding"),
+    (["nqs", "--epsilon", "nan", "--kicks", "2", "--cutoff", "10"], "epsilon"),
+    (_NQS + ["--lambda", "nan"], "lambda"),
+    (_NQS + ["--lambda", "inf"], "lambda"),
+    (_NQS + ["--nbar", "nan"], "nbar"),
+    (_NQS + ["--tau-k", "inf"], "tau_k"),
+])
+def test_out_of_domain_inputs_exit_2(capsys, argv, field):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _exit_code(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert field in out.err
+    assert caught == []
+
+
+def test_lqs_bad_point_writes_no_table(tmp_path, capsys):
+    # the (gamma_bs 0.9, r_sq 0.3) table is invalid; the tables before it
+    # must not be written either
+    argv = ["lqs", "--alpha", "0:1:3", "--eta", "0.9", "--gamma-bs", "0:0.9:2",
+            "--r-sq", "0.3:0.5:2", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: r_mag^2 + Gamma")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_single_suite_exit_0(capsys):

@@ -20,27 +20,30 @@ from qscissors.lqs import (
 
 
 def test_params_two_of_three_resolution():
-    p = LqsParams(alpha=0.5, t=0.7, r_mag=0.7)
-    assert abs(p.gamma_bs - (1 - 0.98)) < 1e-12
     p = LqsParams(alpha=0.5, gamma_bs=0.02, r_mag=0.7)
     assert abs(p.t - math.sqrt(1 - 0.02 - 0.49)) < 1e-12
-    p = LqsParams(alpha=0.5, gamma_bs=0.02, t=0.7)
-    assert abs(p.r_mag - math.sqrt(1 - 0.02 - 0.49)) < 1e-12
     assert p.r == 1j * p.r_mag
-    assert p.omega == 0.0
+    # r_mag^2 + Gamma = 1 up to the rounding of a square root: t = 0
+    assert LqsParams(alpha=0.5, gamma_bs=0.3, r_mag=math.sqrt(0.7)).t < 1e-7
+    with pytest.raises(TypeError):
+        LqsParams(alpha=0.5, gamma_bs=0.02, r_mag=0.7, t=0.7)  # t is derived
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        LqsParams(alpha=0.5, t=0.7)  # only one of three
-    with pytest.raises(ValueError):
-        LqsParams(alpha=0.5, t=0.8, r_mag=0.8, gamma_bs=0.2)  # inconsistent
-    with pytest.raises(ValueError):
-        LqsParams(alpha=0.5, t=0.7, r_mag=0.7, eta=0.0)
-    with pytest.raises(ValueError):
-        LqsParams(alpha=0.5, t=0.7, r_mag=0.7, eta=1.2)
-    with pytest.raises(ValueError):
-        LqsParams(alpha=0.5, t=1.1, gamma_bs=0.0)
+    for kw, field in (
+        (dict(gamma_bs=0.2, r_mag=0.95), "gamma_bs"),  # r_mag^2 + Gamma > 1
+        (dict(gamma_bs=0.02, r_mag=0.7, eta=0.0), "eta"),
+        (dict(gamma_bs=0.02, r_mag=0.7, eta=1.2), "eta"),
+        (dict(gamma_bs=0.0, r_mag=1.1), "r_mag"),
+        (dict(gamma_bs=-0.1, r_mag=0.5), "gamma_bs"),
+        (dict(gamma_bs=0.02, r_mag=0.7, alpha=complex(1.0, math.nan)), "alpha"),
+        (dict(gamma_bs=0.02, r_mag=0.7, alpha=math.inf), "alpha"),
+        (dict(gamma_bs=math.nan, r_mag=0.7), "gamma_bs"),
+        (dict(gamma_bs=0.02, r_mag=math.nan), "r_mag"),
+        (dict(gamma_bs=0.02, r_mag=0.7, eta=math.nan), "eta"),
+    ):
+        with pytest.raises(ValueError, match=field):
+            LqsParams(**{"alpha": 0.5, **kw})
 
 
 def test_x_commutator():

@@ -41,16 +41,16 @@ def _random_density(seed, dim):
 
 
 def test_params_rate_resolution():
-    p = NqsParams(epsilon=0.1, kicks=5, cutoff=10, lam=0.02)
-    assert p.gamma == pytest.approx(0.02)
-    p = NqsParams(epsilon=0.1, kicks=5, cutoff=10, gamma=0.06, kappa=2.0)
-    assert p.lam == pytest.approx(0.03)
     p = NqsParams(epsilon=0.1, kicks=5, cutoff=10)
-    assert p.lam == 0.0 and p.gamma == 0.0
-    with pytest.raises(ValueError):
-        NqsParams(epsilon=0.1, kicks=5, cutoff=10, gamma=0.06, lam=0.01, kappa=2.0)
+    assert p.lam == 0.0 and p.nbar == 0.0
     with pytest.raises(ValueError):
         NqsParams(epsilon=0.1, kicks=5, cutoff=10, lam=-0.1)
+    for name, field in (("epsilon", "epsilon"), ("tau_k", "tau_k"), ("lambda", "lam"),
+                        ("nbar", "nbar")):
+        for bad in (float("nan"), float("inf")):
+            kw = {"epsilon": 0.1, "kicks": 5, "cutoff": 10, field: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                NqsParams(**kw)
     with pytest.raises(ValueError):
         NqsParams(epsilon=0.1, kicks=5, cutoff=0)
     with pytest.warns(UserWarning):
@@ -336,7 +336,7 @@ def _zero_t_propagator_loop(x, size, lam, tau):
 
 
 def _thermal_propagator_loop(x, size, lam, nbar, tau):
-    co = damping_coefficients(x, 1.0, lam, nbar, tau)
+    co = damping_coefficients(x, lam, nbar, tau)
     E, g = co.E, co.g_bar
     q = nbar / (nbar + 1)
     w = q * g * g

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import comb, genlaguerre
 
 from qscissors.specfun import (
@@ -79,7 +81,7 @@ def test_laguerre_arrays_match_scalar_calls():
 
 
 def test_damping_coefficients_delta_branch():
-    co = damping_coefficients(3, 1.0, 0.2, 0.4, 1.7)
+    co = damping_coefficients(3, 0.2, 0.4, 1.7)
     target = co.omega**2 - 4 * 0.4 * 1.4
     assert abs(co.delta**2 - target) < 1e-12 * abs(target)
     assert co.delta.real >= 0  # principal branch
@@ -88,42 +90,48 @@ def test_damping_coefficients_delta_branch():
 def test_damping_coefficients_zero_temperature_reduction():
     # at nbar = 0: E = e^{-t_x} and g_bar = (1 - e^{-2 t_x}) / omega
     lam, tau, x = 0.3, 1.1, 2
-    co = damping_coefficients(x, 1.0, lam, 0.0, tau)
+    co = damping_coefficients(x, lam, 0.0, tau)
     lx = lam + 1j * x
     assert abs(co.E - np.exp(-lx * tau / 2)) < 1e-12
     g_zero = lam * (1 - np.exp(-lx * tau)) / lx
     assert abs(co.g_bar - g_zero) < 1e-12
 
 
-def test_damping_coefficients_small_time_series():
-    # the series branch must join the general formula smoothly
-    x, lam, nbar = 1, 0.5, 0.2
-    for tau in (1e-7, 5e-6, 1e-4):
-        co = damping_coefficients(x, 1.0, lam, nbar, tau)
-        # direct evaluation with unguarded sinh/cosh/coth
-        omega = 1 + 2 * nbar + 1j * x / lam
-        delta = np.sqrt(complex(omega**2 - 4 * nbar * (nbar + 1)))
-        t_x = lam * delta * tau / 2
-        E = delta / (omega * np.sinh(t_x) + delta * np.cosh(t_x))
-        g = 2 * (nbar + 1) / (omega + delta * np.cosh(t_x) / np.sinh(t_x))
-        assert abs(co.E - E) < 1e-9
-        assert abs(co.g_bar - g) < 1e-9
-    co = damping_coefficients(0, 1.0, 0.5, 0.0, 0.0)
+@settings(max_examples=300, deadline=None)
+@given(x=st.integers(0, 39), lam=st.floats(1e-3, 1.0), nbar=st.floats(0.0, 2.0),
+       log_tau=st.floats(-12.0, 1.0))
+def test_damping_coefficients_match_direct_form(x, lam, nbar, log_tau):
+    # one formula from t_x = 0 up: log-uniform tau puts many draws at small
+    # |t_x|, where 1 - e^{-2 t_x} cancels unless it goes through expm1
+    tau = 10.0**log_tau
+    co = damping_coefficients(x, lam, nbar, tau)
+    # direct evaluation with unguarded sinh/cosh/coth
+    omega = 1 + 2 * nbar + 1j * x / lam
+    delta = np.sqrt(complex(omega**2 - 4 * nbar * (nbar + 1)))
+    t_x = lam * delta * tau / 2
+    E = delta / (omega * np.sinh(t_x) + delta * np.cosh(t_x))
+    g = 2 * (nbar + 1) / (omega + delta * np.cosh(t_x) / np.sinh(t_x))
+    assert abs(co.E - E) <= 1e-13 * abs(E)
+    assert abs(co.g_bar - g) <= 1e-13 * abs(g)
+
+
+def test_damping_coefficients_at_zero_time():
+    co = damping_coefficients(0, 0.5, 0.0, 0.0)
     assert co.E == 1.0
     assert co.g_bar == 0.0
 
 
 def test_damping_coefficients_large_time_no_overflow():
-    co = damping_coefficients(5, 1.0, 0.4, 0.6, 500.0)
+    co = damping_coefficients(5, 0.4, 0.6, 500.0)
     assert np.isfinite(co.E) and np.isfinite(co.g_bar)
     assert abs(co.E) < 1.0  # decays, never grows
 
 
 def test_damping_coefficients_rejects_bad_input():
     with pytest.raises(ValueError):
-        damping_coefficients(1, 1.0, 0.0, 0.1, 1.0)
+        damping_coefficients(1, 0.0, 0.1, 1.0)
     with pytest.raises(ValueError):
-        damping_coefficients(1, 1.0, 0.5, -0.1, 1.0)
+        damping_coefficients(1, 0.5, -0.1, 1.0)
 
 
 def test_laguerre_low_orders():
@@ -140,10 +148,10 @@ def test_sqrt_binomial_ratio_specific_values():
 
 def test_damping_coefficients_diagonal_zero_temperature():
     # x = 0, nbar = 0: Omega = Delta = 1, so E and g_bar collapse to the
-    # bare amplitude-decay pair e^{-gamma t/2} and 1 - e^{-gamma t}
-    gamma, t = 0.35, 1.4
-    co = damping_coefficients(0, 1.0, gamma, 0.0, t)
+    # bare amplitude-decay pair e^{-lam tau/2} and 1 - e^{-lam tau}
+    lam, tau = 0.35, 1.4
+    co = damping_coefficients(0, lam, 0.0, tau)
     assert abs(co.omega - 1.0) < 1e-15
     assert abs(co.delta - 1.0) < 1e-15
-    assert abs(co.E - math.exp(-gamma * t / 2)) < 1e-13
-    assert abs(co.g_bar - (1 - math.exp(-gamma * t))) < 1e-13
+    assert abs(co.E - math.exp(-lam * tau / 2)) < 1e-13
+    assert abs(co.g_bar - (1 - math.exp(-lam * tau))) < 1e-13

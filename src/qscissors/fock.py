@@ -12,7 +12,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.linalg import expm
 
 from .specfun import _ln_factorials
 
@@ -81,7 +80,15 @@ class FockVector:
 
 
 class DensityMatrix:
-    """Mixed state of a single mode; validated Hermitian and positive."""
+    """Mixed state of a single mode; validated Hermitian and positive.
+
+    The constructor checks squareness, Hermiticity (HERM_TOL) and the
+    smallest eigenvalue (EIG_TOL).  DensityMatrix._trusted wraps an array
+    without those checks.  It is only for validated states pushed through
+    CPTP maps whose output is Hermitian by construction, inside a routine
+    that validates its final state (nqs.evolve_kicked); everywhere else,
+    use the constructor.
+    """
 
     def __init__(self, elements):
         rho = np.asarray(elements, dtype=complex)
@@ -94,6 +101,13 @@ class DensityMatrix:
         if evmin < -EIG_TOL:
             raise ValueError(f"negative eigenvalue {evmin:.3e}")
         self.elements = rho
+
+    @classmethod
+    def _trusted(cls, elements):
+        """Wrap a complex square array as a DensityMatrix without checking it."""
+        rho = object.__new__(cls)
+        rho.elements = elements
+        return rho
 
     @property
     def dim(self):
@@ -231,6 +245,8 @@ def beam_splitter_unitary(t, r, mode_pair, dims):
     conserves n_i + n_j, so it is exponentiated one block of fixed total
     photon number at a time.
     """
+    from scipy.linalg import expm  # deferred: scipy.linalg dominates import time
+
     t = float(t)
     r = complex(r)
     if abs(t * t + abs(r) ** 2 - 1.0) > NORM_TOL:

@@ -93,8 +93,13 @@ def fidelity_closed_form(p):
 
     Exactly 1 at alpha = 0 (vacuum truncates to itself).  Undefined, and
     a ValueError, where the heralding event has probability zero with a
-    coherent input: t = 0 with lossless splitters and ideal detectors.
+    coherent input: r_mag = 0 (no photon reaches the detectors; at any
+    alpha, eta and Gamma, as in normalization_closed_form), or t = 0 with
+    lossless splitters and ideal detectors.
     """
+    if p.r_mag == 0:
+        raise ValueError("F is undefined: the heralding event has probability zero "
+                         "(r_mag = 0)")
     a2 = abs(p.alpha) ** 2
     if a2 == 0:
         return 1.0

@@ -13,6 +13,13 @@ hypergeometric sum runs in a loop over its summation index only, over a
 prefix of entries that shrinks as k passes each entry's m.  The kick matrix
 takes every Laguerre value from one recurrence.  A damped step is one
 matrix-vector product per diagonal, read and written through strided views.
+
+Each step and the kick have one array-in/array-out core (_damped, _kerr,
+_kick); the public step functions wrap a core's output in a validated
+DensityMatrix.  evolve_kicked runs the cores directly and validates the
+state twice, at the start and at the end of the trajectory: each damped
+step keeps its trace-drift guard, every core returns a Hermitian array by
+construction, and a non-positive final state raises ValueError.
 """
 
 import functools
@@ -22,7 +29,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
 from .fock import DensityMatrix, check_trace_drift
 from .specfun import _ln_factorials, damping_coefficients, laguerre_assoc, sqrt_binomial_ratio
@@ -237,6 +243,24 @@ def _apply_diagonal_propagators(rho, props):
     return out
 
 
+def _damped(rho, lam, nbar, tau, kind):
+    """Array core of both damped steps; kind picks the propagator family.
+
+    Raises CutoffError if the step moves the trace by more than LEAKAGE_TOL.
+    """
+    props = _propagator_family(rho.shape[0], float(lam), float(nbar), float(tau), kind)
+    out = _apply_diagonal_propagators(rho, props)
+    check_trace_drift(rho, out, "zero-T step" if kind == "zero" else "thermal step")
+    return out
+
+
+def _kerr(rho, tau):
+    """Array core of the lossless Kerr step."""
+    n = np.arange(rho.shape[0])
+    phase = np.exp(-0.5j * n * (n - 1) * tau)
+    return phase[:, None] * rho * phase.conj()[None, :]
+
+
 def analytic_damped_step_thermal(rho_in, tau, p):
     """Exact damped-Kerr step at reservoir occupation nbar, duration tau (scaled).
 
@@ -244,11 +268,7 @@ def analytic_damped_step_thermal(rho_in, tau, p):
     """
     if p.lam == 0:
         return unitary_kerr_step(rho_in, tau)
-    rho = rho_in.elements
-    props = _propagator_family(rho.shape[0], float(p.lam), float(p.nbar), float(tau), "thermal")
-    out = _apply_diagonal_propagators(rho, props)
-    check_trace_drift(rho, out, "thermal step")
-    return DensityMatrix(out)
+    return DensityMatrix(_damped(rho_in.elements, p.lam, p.nbar, tau, "thermal"))
 
 
 def analytic_damped_step_zero_T(rho_in, tau, p):
@@ -257,19 +277,12 @@ def analytic_damped_step_zero_T(rho_in, tau, p):
         return unitary_kerr_step(rho_in, tau)
     if p.nbar != 0:
         raise ValueError("zero-T step requires nbar = 0")
-    rho = rho_in.elements
-    props = _propagator_family(rho.shape[0], float(p.lam), 0.0, float(tau), "zero")
-    out = _apply_diagonal_propagators(rho, props)
-    check_trace_drift(rho, out, "zero-T step")
-    return DensityMatrix(out)
+    return DensityMatrix(_damped(rho_in.elements, p.lam, 0.0, tau, "zero"))
 
 
 def unitary_kerr_step(rho_in, tau):
     """Lossless Kerr evolution: rho_nm picks up e^{-i[n(n-1)-m(m-1)]tau/2}."""
-    rho = rho_in.elements
-    n = np.arange(rho.shape[0])
-    phase = np.exp(-0.5j * n * (n - 1) * tau)
-    return DensityMatrix(phase[:, None] * rho * phase.conj()[None, :])
+    return DensityMatrix(_kerr(rho_in.elements, tau))
 
 
 def kick_unitary(eps, cutoff):
@@ -301,13 +314,17 @@ def kick_unitary(eps, cutoff):
     return U
 
 
-def apply_kick(rho_in, U):
-    """One kick: rho -> U rho U^dag."""
-    rho = rho_in.elements
+def _kick(rho, U):
+    """Array core of one kick, U rho U^dag, made Hermitian by construction."""
     if U.shape[0] != rho.shape[0]:
         raise ValueError(f"kick matrix dim {U.shape[0]} != state dim {rho.shape[0]}")
     out = U @ rho @ U.conj().T
-    return DensityMatrix(0.5 * (out + out.conj().T))
+    return 0.5 * (out + out.conj().T)
+
+
+def apply_kick(rho_in, U):
+    """One kick: rho -> U rho U^dag."""
+    return DensityMatrix(_kick(rho_in.elements, U))
 
 
 def truncation_fidelity(rho, k, eps):
@@ -329,11 +346,10 @@ def truncation_fidelity(rho, k, eps):
 
 
 def _free_step(rho, p):
+    """Array-level free evolution over one kick period: the step evolve_kicked takes."""
     if p.lam == 0:
-        return unitary_kerr_step(rho, p.tau_k)
-    if p.nbar == 0:
-        return analytic_damped_step_zero_T(rho, p.tau_k, p)
-    return analytic_damped_step_thermal(rho, p.tau_k, p)
+        return _kerr(rho, p.tau_k)
+    return _damped(rho, p.lam, p.nbar, p.tau_k, "zero" if p.nbar == 0 else "thermal")
 
 
 def evolve_kicked(p, initial=None):
@@ -345,6 +361,13 @@ def evolve_kicked(p, initial=None):
     yields 2K+1 records.  Fidelity in each record is measured against the
     k-kick target state with k = kicks applied so far.
 
+    The loop runs on arrays.  The state is validated twice, as a
+    DensityMatrix at the start and at the end of the trajectory.  In
+    between it only passes through CPTP steps (the kick and the Kerr phases
+    unitary, the damped steps trace-checked) whose output is Hermitian by
+    construction, so the intermediate records hold unchecked DensityMatrix
+    objects (DensityMatrix._trusted).
+
     Args:
         p: NqsParams.
         initial: optional DensityMatrix; defaults to vacuum.  States
@@ -353,44 +376,45 @@ def evolve_kicked(p, initial=None):
     Raises:
         fock.CutoffError: if any step moves the trace by more than
             fock.LEAKAGE_TOL (1e-8).
+        ValueError: if the final state is not Hermitian or has an eigenvalue
+            below -fock.EIG_TOL.
     """
     d = p.cutoff + 1
+    rho = np.zeros((d, d), dtype=complex)
     if initial is None:
-        rho = np.zeros((d, d), dtype=complex)
         rho[0, 0] = 1.0
-        rho = DensityMatrix(rho)
     else:
         if initial.dim > d:
             raise ValueError(f"initial state dim {initial.dim} exceeds cutoff+1 = {d}")
-        padded = np.zeros((d, d), dtype=complex)
-        padded[: initial.dim, : initial.dim] = initial.elements
-        rho = DensityMatrix(padded)
+        rho[: initial.dim, : initial.dim] = initial.elements
+    start = DensityMatrix(rho)
     if p.nbar > 0 and p.cutoff < 20:
         warnings.warn(
             f"cutoff {p.cutoff} is small for a thermal run; leakage checks may trip",
             stacklevel=2,
         )
 
-    def record(tau, k):
+    def record(tau, k, state):
         return EvolutionRecord(
             tau=tau,
-            rho=rho,
-            fidelity=truncation_fidelity(rho, k, p.epsilon),
-            trace=rho.trace,
-            purity=rho.purity,
-            mean_n=rho.mean_photon_number(),
+            rho=state,
+            fidelity=truncation_fidelity(state, k, p.epsilon),
+            trace=state.trace,
+            purity=state.purity,
+            mean_n=state.mean_photon_number(),
             kick_index=k,
         )
 
-    records = [record(0.0, 0)]
+    records = [record(0.0, 0, start)]
     if p.kicks == 0:
         return records
     U = kick_unitary(p.epsilon, p.cutoff)
     for k in range(1, p.kicks + 1):
-        rho = apply_kick(rho, U)
-        records.append(record((k - 1) * p.tau_k, k))
+        rho = _kick(rho, U)
+        records.append(record((k - 1) * p.tau_k, k, DensityMatrix._trusted(rho)))
         rho = _free_step(rho, p)
-        records.append(record(k * p.tau_k, k))
+        records.append(record(k * p.tau_k, k, DensityMatrix._trusted(rho)))
+    DensityMatrix(rho)  # end-of-trajectory validation
     return records
 
 
@@ -402,6 +426,9 @@ def nbar_from_temperature(omega, T):
         raise ValueError("temperature must be nonnegative")
     if T == 0:
         return 0.0
+    # exact SI values of h/(2 pi) and k_B; bit-equal to scipy.constants.hbar and k
+    hbar = 6.62607015e-34 / (2 * math.pi)
+    k_B = 1.380649e-23
     ratio = hbar * omega / (k_B * T)
     if ratio > 700:
         return 0.0

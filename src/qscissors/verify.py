@@ -11,7 +11,6 @@ run rather than repeating the checks.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import fock, lindblad, lqs, nqs
 
@@ -160,6 +159,8 @@ def suite_nqs_rk4(seed=None):
 
 def suite_nqs_kick(seed=None):
     """Closed-form kick matrix vs the exponentiated displacement generator."""
+    from scipy.linalg import expm  # deferred: scipy.linalg dominates import time
+
     dev = []
     cutoff = 30
     a = fock.annihilation_matrix(cutoff)

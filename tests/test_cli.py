@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
 import pytest
 
+import qscissors
 from qscissors import nqs
 from qscissors.cli import main, parse_range
 
@@ -301,6 +305,7 @@ _NQS = ["nqs", "--epsilon", "0.1", "--kicks", "2", "--cutoff", "10"]
     (_NQS + ["--lambda", "inf"], "lambda"),
     (_NQS + ["--nbar", "nan"], "nbar"),
     (_NQS + ["--tau-k", "inf"], "tau_k"),
+    (_LQS + ["--gamma-bs", "0.1", "--r-sq", "0"], "r_mag = 0"),
 ])
 def test_out_of_domain_inputs_exit_2(capsys, argv, field):
     with warnings.catch_warnings(record=True) as caught:
@@ -405,3 +410,16 @@ def test_nqs_lossless_single_kick_fidelity(capsys):
     assert abs(float(rows[2][2]) - want) < 1e-9
     # lossless free evolution leaves the qubit block alone
     assert abs(float(rows[3][2]) - want) < 1e-9
+
+
+def test_import_defers_scipy():
+    # lqs and nqs runs never need expm or the physical constants, so a fresh
+    # interpreter must not pay for scipy.linalg or scipy.constants
+    src = os.path.dirname(os.path.dirname(qscissors.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, qscissors, qscissors.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.constants') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -69,6 +69,19 @@ def test_vacuum_input_is_exact():
     assert fidelity_unsimplified(p) == 1.0
 
 
+@pytest.mark.parametrize("alpha, eta, gamma_bs", [
+    (1.0, 0.9, 0.1), (0.0, 1.0, 0.0), (2.5 * cmath.exp(0.4j), 0.3, 0.5), (0.7, 1.0, 1.0),
+])
+def test_fidelity_undefined_without_reflection(alpha, eta, gamma_bs):
+    # r_mag = 0 sends no photon to the detectors: the herald has probability
+    # zero at every alpha, eta and Gamma, and F is as undefined as N
+    p = LqsParams(alpha=alpha, eta=eta, gamma_bs=gamma_bs, r_mag=0.0)
+    with pytest.raises(ValueError, match="r_mag = 0"):
+        fidelity_closed_form(p)
+    with pytest.raises(ValueError, match="probability zero"):
+        normalization_closed_form(p)
+
+
 def test_lossless_balanced_reduces_to_ppb():
     for alpha in (0.3, 0.8, 1.5):
         for eta in (0.4, 0.75, 1.0):

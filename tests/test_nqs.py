@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.constants import hbar, k as k_B
 from scipy.linalg import expm
 
+from qscissors import nqs
 from qscissors.fock import (
     CutoffError,
     DensityMatrix,
@@ -445,3 +446,63 @@ def test_cached_propagators_are_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["lossless", "zero", "thermal"]),
+    support=st.integers(1, 3),
+    cutoff=st.integers(20, 26),
+    eps=st.floats(0.01, 0.2),
+    kicks=st.integers(1, 5),
+    tau_k=st.floats(0.1, 3.0),
+    lam=st.floats(1e-3, 0.5),
+    nbar=st.floats(1e-3, 0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evolve_kicked_equals_chain_of_validated_steps(
+        kind, support, cutoff, eps, kicks, tau_k, lam, nbar, seed):
+    # the array loop must reproduce, bit for bit, the public step functions,
+    # each of which validates its output
+    p = NqsParams(epsilon=eps, kicks=kicks, cutoff=cutoff, tau_k=tau_k,
+                  lam=0.0 if kind == "lossless" else lam,
+                  nbar=nbar if kind == "thermal" else 0.0)
+    initial = _random_density(seed, support)
+    records = evolve_kicked(p, initial=initial)
+    step = {
+        "lossless": lambda s: unitary_kerr_step(s, tau_k),
+        "zero": lambda s: analytic_damped_step_zero_T(s, tau_k, p),
+        "thermal": lambda s: analytic_damped_step_thermal(s, tau_k, p),
+    }[kind]
+    padded = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    padded[:support, :support] = initial.elements
+    state = DensityMatrix(padded)
+    U = kick_unitary(eps, cutoff)
+    want = [state]
+    for _ in range(kicks):
+        state = apply_kick(state, U)
+        want.append(state)
+        state = step(state)
+        want.append(state)
+    assert len(records) == len(want)
+    for rec, ref in zip(records, want):
+        assert np.array_equal(rec.rho.elements, ref.elements)
+        assert (rec.trace, rec.purity, rec.mean_n) == (
+            ref.trace, ref.purity, ref.mean_photon_number())
+        assert rec.fidelity == truncation_fidelity(ref, rec.kick_index, eps)
+        DensityMatrix(rec.rho.elements)
+
+
+def test_evolve_kicked_validates_final_state(monkeypatch):
+    # coherence blocks (x >= 1) scaled by 3 keep the trace, which lives on
+    # x = 0, and the mirrored Hermiticity, but break positivity; no record
+    # is checked on the way, so the end-of-trajectory check must catch it
+    family = nqs._propagator_family
+
+    def inflated(*args):
+        return tuple(P if x == 0 else 3 * P for x, P in enumerate(family(*args)))
+
+    monkeypatch.setattr(nqs, "_propagator_family", inflated)
+    p = NqsParams(epsilon=0.1, kicks=3, cutoff=12, lam=0.05)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        evolve_kicked(p)

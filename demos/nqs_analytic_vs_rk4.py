@@ -50,8 +50,8 @@ def main():
     compare("thermal reservoir: alpha = 0.8, lambda = 0.1, nbar = 0.3, tau = 1",
             coh.density_matrix(), 1.0, p, analytic_damped_step_thermal,
             IntegratorConfig(dt=5e-4))
-    print("The exact step is orders of magnitude faster and agrees with the")
-    print("integrator to within its discretization error; it is what the")
+    print("The exact step agrees with the integrator to within its")
+    print("discretization error, and is faster still; it is what the")
     print("kicked-protocol driver uses between kicks.")
 
 

@@ -35,6 +35,25 @@ def check_trace_drift(rho_in, rho_out, what):
                           f"{LEAKAGE_TOL:.0e}); the state reaches the cutoff, enlarge it")
 
 
+def _apply_diagonal_propagators(rho, props):
+    """Apply per-diagonal propagators; compute n >= m, mirror the rest.
+
+    props[x] is the (d - x, d - x) matrix acting on diagonal -x, the
+    entries rho[j + x, j]; the output is Hermitian by construction.
+    Diagonal -x of a (d, d) array is the stride-(d+1) run of its flat
+    view starting at x*d, diagonal +x the run starting at x.
+    """
+    d = rho.shape[0]
+    out = np.zeros((d, d), dtype=complex)
+    flat = out.reshape(-1)
+    for x in range(d):
+        dst = props[x] @ rho.diagonal(-x)
+        flat[x * d::d + 1] = dst
+        if x:
+            flat[x:x + (d - x) * (d + 1):d + 1] = np.conj(dst)
+    return out
+
+
 class FockVector:
     """Pure state of a single mode, amplitudes indexed by photon number."""
 

@@ -91,18 +91,18 @@ def truncated_state_general_bs(alpha, t1, r1, t2, r2):
 def fidelity_closed_form(p):
     """Truncation fidelity of the lossy scissors, simplified form.
 
-    Exactly 1 at alpha = 0 (vacuum truncates to itself).  Undefined, and
-    a ValueError, where the heralding event has probability zero with a
-    coherent input: r_mag = 0 (no photon reaches the detectors; at any
-    alpha, eta and Gamma, as in normalization_closed_form), or t = 0 with
-    lossless splitters and ideal detectors.
+    Exactly 1 at alpha = 0 when t > 0 (vacuum truncates to itself).
+    Undefined, and a ValueError, where the heralding event has probability
+    zero with a coherent input: r_mag = 0 (no photon reaches the detectors;
+    at any alpha, eta and Gamma, as in normalization_closed_form), or t = 0
+    at alpha = 0 or with lossless splitters and ideal detectors.
     """
     if p.r_mag == 0:
         raise ValueError("F is undefined: the heralding event has probability zero "
                          "(r_mag = 0)")
     a2 = abs(p.alpha) ** 2
     if a2 == 0:
-        return 1.0
+        return _vacuum_fidelity(p)
     R = 1.0 / a2
     loss = p.x * p.r_mag**2 + p.gamma_bs
     denom = loss + p.t**2 * (1.0 + R)
@@ -121,7 +121,7 @@ def fidelity_unsimplified(p):
     """
     a2 = abs(p.alpha) ** 2
     if a2 == 0:
-        return 1.0
+        return _vacuum_fidelity(p)
     r2, t2, x, G = p.r_mag**2, p.t**2, p.x, p.gamma_bs
     overlap = p.eta * r2 * math.exp(x * a2) * (t2 * (a2 + 1.0) + a2 * (r2 * x + G) / (1.0 + a2))
     return overlap * normalization_closed_form(p) ** 2
@@ -135,10 +135,25 @@ def normalization_closed_form(p):
     alone overflows, and equal to (eta r^2 t^2)^{-1/2} at alpha = 0.
     """
     a2 = abs(p.alpha) ** 2
-    bracket = p.eta * p.r_mag**2 * (p.t**2 * (1.0 + a2) + a2 * (p.r_mag**2 * p.x + p.gamma_bs))
+    bracket = _herald_bracket(p, a2)
     if bracket == 0:
         raise ValueError("N is undefined: the heralding event has probability zero")
     return math.exp(-0.5 * (p.x * a2 + math.log(bracket)))
+
+
+def _herald_bracket(p, a2):
+    """eta r^2 (t^2 (1 + |alpha|^2) + |alpha|^2 (r^2 x + Gamma)), which is
+    N^-2 e^{-x|alpha|^2}: zero exactly where the herald has probability zero."""
+    return p.eta * p.r_mag**2 * (p.t**2 * (1.0 + a2) + a2 * (p.r_mag**2 * p.x + p.gamma_bs))
+
+
+def _vacuum_fidelity(p):
+    """F at alpha = 0: the vacuum truncates to itself, unless the herald
+    (eta r^2 t^2 there) has probability zero."""
+    if _herald_bracket(p, 0.0) == 0:
+        raise ValueError("F is undefined: the heralding event has probability zero "
+                         "(eta r^2 t^2 = 0 at alpha = 0)")
+    return 1.0
 
 
 def fidelity_ppb(alpha, eta):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import DensityMatrix, check_trace_drift
+from .fock import DensityMatrix, _apply_diagonal_propagators, check_trace_drift
 from .specfun import _ln_factorials, damping_coefficients, laguerre_assoc, sqrt_binomial_ratio
 
 
@@ -224,23 +224,6 @@ def _propagator_family(dim, lam, nbar, tau, kind):
         P.flags.writeable = False
         blocks.append(P)
     return tuple(blocks)
-
-
-def _apply_diagonal_propagators(rho, props):
-    """Apply per-diagonal propagators; compute n >= m, mirror the rest.
-
-    Diagonal -x of a (d, d) array is the stride-(d+1) run of its flat
-    view starting at x*d, diagonal +x the run starting at x.
-    """
-    d = rho.shape[0]
-    out = np.zeros((d, d), dtype=complex)
-    flat = out.reshape(-1)
-    for x in range(d):
-        dst = props[x] @ rho.diagonal(-x)
-        flat[x * d::d + 1] = dst
-        if x:
-            flat[x:x + (d - x) * (d + 1):d + 1] = np.conj(dst)
-    return out
 
 
 def _damped(rho, lam, nbar, tau, kind):

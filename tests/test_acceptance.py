@@ -177,7 +177,7 @@ def test_criterion_8_reference_trajectory():
         rho = integrate(rho, p.tau_k, p).elements
         dev_el.append(np.max(np.abs(recs[2 * k].rho.elements - rho)))
     _report(8, "kicked run vs composed expm-kick + RK4 at all 41 records",
-            float(np.max(dev_el)), 1e-6)
+            float(np.max(dev_el)), 1e-9)
     dev_f = []
     for rec, (k, tau, f) in zip(recs, FROZEN_TRAJECTORY):
         assert rec.kick_index == k

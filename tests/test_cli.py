@@ -306,6 +306,8 @@ _NQS = ["nqs", "--epsilon", "0.1", "--kicks", "2", "--cutoff", "10"]
     (_NQS + ["--nbar", "nan"], "nbar"),
     (_NQS + ["--tau-k", "inf"], "tau_k"),
     (_LQS + ["--gamma-bs", "0.1", "--r-sq", "0"], "r_mag = 0"),
+    (["lqs", "--alpha", "0:1:3", "--eta", "1", "--gamma-bs", "0.3", "--r-sq", "0.7"],
+     "F is undefined: the heralding event has probability zero"),
 ])
 def test_out_of_domain_inputs_exit_2(capsys, argv, field):
     with warnings.catch_warnings(record=True) as caught:
@@ -414,11 +416,16 @@ def test_nqs_lossless_single_kick_fidelity(capsys):
 
 def test_import_defers_scipy():
     # lqs and nqs runs never need expm or the physical constants, so a fresh
-    # interpreter must not pay for scipy.linalg or scipy.constants
+    # interpreter must not pay for scipy.linalg or scipy.constants; RK4
+    # integration is numpy-only and must not load them either
     src = os.path.dirname(os.path.dirname(qscissors.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    code = ("import sys, qscissors, qscissors.cli; "
+    code = ("import sys, numpy as np, qscissors, qscissors.cli\n"
+            "from qscissors.lindblad import integrate\n"
+            "from qscissors.nqs import NqsParams\n"
+            "integrate(np.diag([0.5, 0.5, 0.0]).astype(complex), 0.1,\n"
+            "          NqsParams(epsilon=0.1, kicks=1, cutoff=2, lam=0.2, nbar=0.1))\n"
             "print(sorted(m for m in ('scipy.linalg', 'scipy.constants') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)

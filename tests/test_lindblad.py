@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qscissors.fock import CutoffError, DensityMatrix, annihilation_matrix, coherent_state
-from qscissors.lindblad import IntegratorConfig, integrate, lindblad_rhs
+from qscissors.fock import (
+    CutoffError,
+    DensityMatrix,
+    _apply_diagonal_propagators,
+    annihilation_matrix,
+    coherent_state,
+)
+from qscissors.lindblad import IntegratorConfig, _generator_blocks, integrate, lindblad_rhs
 from qscissors.nqs import (
     NqsParams,
     analytic_damped_step_thermal,
@@ -30,18 +38,30 @@ def _dissipator(L, rho):
     return L @ rho @ L.conj().T - 0.5 * (L.conj().T @ L @ rho + rho @ L.conj().T @ L)
 
 
+def _rk4_run(rho, n_steps, h, lam, nbar):
+    """Reference: the step-by-step RK4 loop that integrate evaluates exactly
+    as one matrix power per diagonal."""
+    for _ in range(n_steps):
+        k1 = lindblad_rhs(rho, 1.0, lam, nbar)
+        k2 = lindblad_rhs(rho + 0.5 * h * k1, 1.0, lam, nbar)
+        k3 = lindblad_rhs(rho + 0.5 * h * k2, 1.0, lam, nbar)
+        k4 = lindblad_rhs(rho + h * k3, 1.0, lam, nbar)
+        rho = rho + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+    return rho
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.0)
 
 
 def test_rhs_equals_standard_lindblad_form():
-    # the double-commutator thermal term must equal the two-dissipator form
-    # gamma (nbar+1) D[a] + gamma nbar D[a^dag] with the Kerr commutator;
-    # the two truncations differ only through [a, a^dag] != 1 at the edge,
-    # so the state must not touch the top levels
+    # the symmetrized double-commutator thermal term must equal the
+    # two-dissipator form gamma (nbar+1) D[a] + gamma nbar D[a^dag] with the
+    # Kerr commutator on every level, so the state fills the top levels too
     d = 9
-    rho = _random_density(31, d, support=5)
+    rho = _random_density(31, d)
     a = annihilation_matrix(d - 1)
     kerr = a.conj().T @ a.conj().T @ a @ a
     for kappa, gamma, nbar in [(1.0, 0.3, 0.0), (1.0, 0.3, 0.7), (2.0, 0.05, 1.4)]:
@@ -52,6 +72,55 @@ def test_rhs_equals_standard_lindblad_form():
         )
         got = lindblad_rhs(rho, kappa, gamma, nbar)
         assert np.max(np.abs(got - want)) < 1e-13
+
+
+@pytest.mark.parametrize("x", [-4, -1, 0, 2, 7])
+def test_rhs_keeps_each_diagonal(x):
+    # the generator conserves n - m: a matrix supported on one diagonal is
+    # mapped onto that diagonal, which is what lets integrate work per block
+    d = 10
+    rng = np.random.default_rng(37 + x)
+    v = rng.normal(size=d - abs(x)) + 1j * rng.normal(size=d - abs(x))
+    out = lindblad_rhs(np.diag(v, x), 1.0, 0.3, 0.6)
+    assert np.any(np.diagonal(out, x) != 0)
+    assert np.all(out - np.diag(np.diagonal(out, x), x) == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 20), lam=st.floats(0.0, 2.0), nbar=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_generator_blocks_reproduce_rhs(d, lam, nbar, seed):
+    # block L_x acts on diagonal -x; applied diagonal by diagonal and
+    # mirrored, the blocks must give the full right-hand side of a random
+    # Hermitian matrix, and their zero padding must stay zero
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = A + A.conj().T
+    rho /= np.max(np.abs(rho))
+    L = _generator_blocks(d, lam, nbar)
+    assert L.shape == (d, d, d)
+    for x in range(1, d):
+        assert np.all(L[x, d - x:, :] == 0) and np.all(L[x, :, d - x:] == 0)
+    got = _apply_diagonal_propagators(rho, [L[x, :d - x, :d - x] for x in range(d)])
+    assert np.max(np.abs(got - lindblad_rhs(rho, 1.0, lam, nbar))) < 1e-13
+
+
+@pytest.mark.parametrize("seed, dim, tau, lam, nbar, want_steps", [
+    (38, 16, 0.5, 0.05, 0.0, 500),   # zero temperature
+    (39, 14, 0.5, 0.3, 0.4, 500),    # thermal
+    (40, 12, 1.0, 0.0, 0.0, 1000),   # lossless
+    (41, 13, 0.004, 0.4, 0.1, 10),   # 10-step floor
+])
+def test_integrate_matches_step_loop(seed, dim, tau, lam, nbar, want_steps):
+    # the states fill every level, so the cutoff edge is exercised too
+    rho0 = _random_density(seed, dim)
+    p = NqsParams(epsilon=0.1, kicks=1, cutoff=dim - 1, lam=lam, nbar=nbar)
+    cfg = IntegratorConfig(dt=1e-3)
+    n_steps = max(int(np.ceil(tau / cfg.dt - 1e-12)), 10)
+    assert n_steps == want_steps
+    want = _rk4_run(rho0, n_steps, tau / n_steps, lam, nbar)
+    got = integrate(DensityMatrix(rho0), tau, p, cfg).elements
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_rhs_cached_ladders_follow_the_dimension():
@@ -73,7 +142,7 @@ def test_rhs_cached_ladders_follow_the_dimension():
 
 
 def test_rhs_traceless_and_hermiticity_preserving():
-    rho = _random_density(32, 8, support=5)
+    rho = _random_density(32, 8)
     out = lindblad_rhs(rho, 1.0, 0.2, 0.5)
     assert abs(np.trace(out)) < 1e-13
     assert np.max(np.abs(out - out.conj().T)) < 1e-13

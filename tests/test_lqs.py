@@ -82,6 +82,17 @@ def test_fidelity_undefined_without_reflection(alpha, eta, gamma_bs):
         normalization_closed_form(p)
 
 
+@pytest.mark.parametrize("eta, gamma_bs", [(1.0, 0.3), (0.6, 0.3), (0.8, 0.5)])
+def test_fidelity_undefined_at_vacuum_without_transmission(eta, gamma_bs):
+    # t = 0 with Gamma > 0: at alpha = 0 the herald's probability
+    # eta r^2 t^2 is zero, so F raises wherever N does
+    p = LqsParams(alpha=0.0, eta=eta, gamma_bs=gamma_bs, r_mag=math.sqrt(1.0 - gamma_bs))
+    assert p.t == 0.0
+    for f in (fidelity_closed_form, fidelity_unsimplified, normalization_closed_form):
+        with pytest.raises(ValueError, match="probability zero"):
+            f(p)
+
+
 def test_lossless_balanced_reduces_to_ppb():
     for alpha in (0.3, 0.8, 1.5):
         for eta in (0.4, 0.75, 1.0):

@@ -18,14 +18,12 @@ from .fock import (
     CutoffError,
     DensityMatrix,
     FockVector,
-    MultiModeState,
     annihilation_matrix,
     beam_splitter_unitary,
     coherent_state,
     fidelity,
     nqs_target_state,
     number_matrix,
-    project_and_renormalize,
     truncated_coherent_state,
 )
 from .lindblad import IntegratorConfig, integrate, lindblad_rhs

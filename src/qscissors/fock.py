@@ -1,13 +1,20 @@
 """Truncated Fock-space linear algebra.
 
-States, ladder operators, tensor products, beam-splitter unitaries and
-projective measurements on photon-number-truncated Hilbert spaces.  All
-matrices are dense; the cutoffs used here (a few tens of levels) make
-sparsity pointless.  A beam-splitter unitary lives on its own two modes and
-is exponentiated one total-photon-number block at a time, so no matrix
-exponential is larger than the shorter mode's dimension.
+States, ladder operators and beam-splitter unitaries on photon-number-
+truncated Hilbert spaces.  All matrices are dense; the cutoffs used here (a
+few tens of levels) make sparsity pointless.  A beam-splitter unitary lives
+on its own two modes and is exponentiated one total-photon-number block at
+a time, so no matrix exponential is larger than the shorter mode's
+dimension; the multi-mode states it acts on are plain amplitude tensors,
+one axis per mode.
+
+Per-diagonal propagators, of the damped Kerr steps and of RK4 alike, have
+one format: a (d, d, d) stack whose block x acts on the entries
+rho[j + x, j] of diagonal -x and is zero beyond size d - x.
+_apply_diagonal_propagators applies such a stack in one batched matmul.
 """
 
+import functools
 import math
 import warnings
 
@@ -35,23 +42,39 @@ def check_trace_drift(rho_in, rho_out, what):
                           f"{LEAKAGE_TOL:.0e}); the state reaches the cutoff, enlarge it")
 
 
-def _apply_diagonal_propagators(rho, props):
+@functools.lru_cache(maxsize=8)
+def _diagonal_indices(d):
+    """Flat indices of the lower triangle of a (d, d) array, read-only.
+
+    For every entry n >= m: its position n*d + m, its mirror's m*d + n,
+    and x*d + m with x = n - m, its position in a (d, d) array whose row x
+    holds diagonal -x, the entries rho[j + x, j], zero-padded to length d.
+    """
+    n, m = np.tril_indices(d)
+    idx = (n * d + m, m * d + n, (n - m) * d + m)
+    for arr in idx:
+        arr.flags.writeable = False
+    return idx
+
+
+def _apply_diagonal_propagators(rho, stack):
     """Apply per-diagonal propagators; compute n >= m, mirror the rest.
 
-    props[x] is the (d - x, d - x) matrix acting on diagonal -x, the
-    entries rho[j + x, j]; the output is Hermitian by construction.
-    Diagonal -x of a (d, d) array is the stride-(d+1) run of its flat
-    view starting at x*d, diagonal +x the run starting at x.
+    stack is a (d, d, d) array whose block x acts on diagonal -x, the
+    entries rho[j + x, j], and is zero beyond size d - x.  The diagonals
+    are gathered into the rows of one zero-padded (d, d) array, multiplied
+    by their blocks in one batched matmul and scattered back with their
+    mirror images, so the output is Hermitian by construction.
     """
     d = rho.shape[0]
-    out = np.zeros((d, d), dtype=complex)
-    flat = out.reshape(-1)
-    for x in range(d):
-        dst = props[x] @ rho.diagonal(-x)
-        flat[x * d::d + 1] = dst
-        if x:
-            flat[x:x + (d - x) * (d + 1):d + 1] = np.conj(dst)
-    return out
+    lower, upper, diag = _diagonal_indices(d)
+    v = np.zeros(d * d, dtype=complex)
+    v[diag] = rho.reshape(-1)[lower]
+    w = np.matmul(stack, v.reshape(d, d, 1)).reshape(-1)[diag]
+    out = np.empty(d * d, dtype=complex)
+    out[upper] = np.conj(w)
+    out[lower] = w  # after the mirror, so the main diagonal keeps w
+    return out.reshape(d, d)
 
 
 class FockVector:
@@ -145,37 +168,6 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, trace={self.trace:.6f})"
-
-
-class MultiModeState:
-    """Pure state of several modes: flat amplitude array + per-mode dimensions."""
-
-    def __init__(self, amplitudes, dims):
-        dims = tuple(int(d) for d in dims)
-        amp = np.asarray(amplitudes, dtype=complex).ravel()
-        if amp.size != int(np.prod(dims)):
-            raise ValueError(f"{amp.size} amplitudes incompatible with dims {dims}")
-        self.amplitudes = amp
-        self.dims = dims
-
-    @classmethod
-    def product(cls, factors):
-        """Tensor product of per-mode amplitude vectors, normalized."""
-        amp = np.array([1.0 + 0j])
-        dims = []
-        for f in factors:
-            f = np.asarray(f, dtype=complex).ravel()
-            amp = np.kron(amp, f)
-            dims.append(f.size)
-        amp = amp / np.linalg.norm(amp)
-        return cls(amp, dims)
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-    def tensor(self):
-        return self.amplitudes.reshape(self.dims)
 
 
 def coherent_amplitudes(alpha, dim):
@@ -290,32 +282,3 @@ def beam_splitter_unitary(t, r, mode_pair, dims):
         idx = flat[k, total - k]
         u[np.ix_(idx, idx)] = expm(gen)
     return u
-
-
-def project_and_renormalize(state, mode_outcomes):
-    """Condition a multi-mode state on Fock outcomes of some of its modes.
-
-    mode_outcomes is a list of (mode index, photon number) pairs.  Returns
-    the renormalized conditional state of the remaining mode(s) together
-    with the outcome probability.  A FockVector is returned when a single
-    mode remains, otherwise a MultiModeState.
-    """
-    tens = state.tensor()
-    idx = [slice(None)] * len(state.dims)
-    measured = set()
-    for mode, outcome in mode_outcomes:
-        if not 0 <= outcome < state.dims[mode]:
-            raise ValueError(f"outcome {outcome} outside mode {mode} dimension")
-        if mode in measured:
-            raise ValueError(f"mode {mode} listed twice")
-        measured.add(mode)
-        idx[mode] = outcome
-    cond = tens[tuple(idx)]
-    p = float(np.vdot(cond, cond).real)
-    if p < 1e-14:
-        raise ValueError(f"zero-probability outcome (p = {p:.3e})")
-    cond = cond / np.sqrt(p)
-    remaining = [d for k, d in enumerate(state.dims) if k not in measured]
-    if len(remaining) == 1:
-        return FockVector(cond.ravel()), p
-    return MultiModeState(cond.ravel(), remaining), p

@@ -7,10 +7,12 @@ are short, matrices small, and fixed steps make results bit-reproducible.
 The master equation is written once, as a table of (c, A, B) terms meaning
 c A rho B over the cached ladder matrices.  lindblad_rhs sums the table over
 the full matrix.  The generator conserves x = n - m, so the same table also
-gives one block L_x of size d - x per diagonal; for this constant linear
-generator n RK4 steps of size h are exactly the matrix T(h L_x)^n, with
-T(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, applied to each lower diagonal and
-mirrored.  No hypergeometric propagator is used anywhere.
+gives one block L_x of size d - x per diagonal, zero-padded into the
+(d, d, d) stack format of fock._apply_diagonal_propagators.  For this
+constant linear generator n RK4 steps of size h are exactly the matrix
+T(h L_x)^n, with T(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, whose stack is
+applied to the lower diagonals and mirrored.  No hypergeometric propagator
+is used anywhere.
 """
 
 import functools
@@ -122,10 +124,10 @@ def integrate(rho0, tau_total, p, cfg=None):
     h = tau_total / n_steps
     d = rho.shape[0]
     hL = h * _generator_blocks(d, p.lam, p.nbar)
-    eye = np.eye(d)
+    k = np.arange(d)
+    eye = np.eye(d) * (k < d - k[:, None, None])  # block x: identity of size d - x
     step = eye + hL @ (eye + (hL / 2) @ (eye + (hL / 3) @ (eye + hL / 4)))
-    prop = np.linalg.matrix_power(step, n_steps)
-    out = _apply_diagonal_propagators(rho, [prop[x, :d - x, :d - x] for x in range(d)])
+    out = _apply_diagonal_propagators(rho, np.linalg.matrix_power(step, n_steps))
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite values in RK4 integration")
     check_trace_drift(rho, out, f"RK4 over tau={tau_total}")

@@ -16,15 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import (
-    CutoffError,
-    FockVector,
-    MultiModeState,
-    beam_splitter_unitary,
-    coherent_amplitudes,
-    coherent_state,
-    project_and_renormalize,
-)
+from .fock import CutoffError, FockVector, beam_splitter_unitary, coherent_amplitudes, coherent_state
 
 _COEF_TOL = 1e-10
 
@@ -59,7 +51,8 @@ class LqsParams:
             raise ValueError(f"r_mag^2 + Gamma (gamma_bs) = {1.0 - t_sq:.12g} exceeds 1")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        self.t = math.sqrt(max(t_sq, 0.0))
+        # |t^2| <= 1e-12 is rounding in the subtraction: t = 0
+        self.t = math.sqrt(t_sq) if t_sq > 1e-12 else 0.0
 
     @property
     def r(self):
@@ -91,25 +84,22 @@ def truncated_state_general_bs(alpha, t1, r1, t2, r2):
 def fidelity_closed_form(p):
     """Truncation fidelity of the lossy scissors, simplified form.
 
-    Exactly 1 at alpha = 0 when t > 0 (vacuum truncates to itself).
-    Undefined, and a ValueError, where the heralding event has probability
-    zero with a coherent input: r_mag = 0 (no photon reaches the detectors;
-    at any alpha, eta and Gamma, as in normalization_closed_form), or t = 0
-    at alpha = 0 or with lossless splitters and ideal detectors.
+    Exactly 1 at alpha = 0 (vacuum truncates to itself).  Undefined, and a
+    ValueError, where the heralding event has probability zero with a
+    coherent input (_herald_bracket is zero): r_mag = 0 (no photon reaches
+    the detectors; at any alpha, eta and Gamma, as in
+    normalization_closed_form), or t = 0 at alpha = 0 or with lossless
+    splitters and ideal detectors.
     """
-    if p.r_mag == 0:
-        raise ValueError("F is undefined: the heralding event has probability zero "
-                         "(r_mag = 0)")
     a2 = abs(p.alpha) ** 2
+    if _herald_bracket(p, a2) == 0:
+        raise ValueError("F is undefined: the heralding event has probability zero "
+                         f"(r_mag = {p.r_mag:.6g}, t = {p.t:.6g}, |alpha| = {abs(p.alpha):.6g})")
     if a2 == 0:
-        return _vacuum_fidelity(p)
+        return 1.0
     R = 1.0 / a2
     loss = p.x * p.r_mag**2 + p.gamma_bs
-    denom = loss + p.t**2 * (1.0 + R)
-    if denom == 0:
-        raise ValueError("F is undefined: the heralding event has probability zero "
-                         "(t = 0, Gamma = 0, eta = 1)")
-    return 1.0 - loss / ((1.0 + R) * denom)
+    return 1.0 - loss / ((1.0 + R) * (loss + p.t**2 * (1.0 + R)))
 
 
 def fidelity_unsimplified(p):
@@ -119,12 +109,13 @@ def fidelity_unsimplified(p):
     (the overlap's exponential intact, times N^2 from
     normalization_closed_form) as an internal consistency route.
     """
+    n2 = normalization_closed_form(p) ** 2  # raises where the herald has probability zero
     a2 = abs(p.alpha) ** 2
     if a2 == 0:
-        return _vacuum_fidelity(p)
+        return 1.0
     r2, t2, x, G = p.r_mag**2, p.t**2, p.x, p.gamma_bs
     overlap = p.eta * r2 * math.exp(x * a2) * (t2 * (a2 + 1.0) + a2 * (r2 * x + G) / (1.0 + a2))
-    return overlap * normalization_closed_form(p) ** 2
+    return overlap * n2
 
 
 def normalization_closed_form(p):
@@ -143,17 +134,10 @@ def normalization_closed_form(p):
 
 def _herald_bracket(p, a2):
     """eta r^2 (t^2 (1 + |alpha|^2) + |alpha|^2 (r^2 x + Gamma)), which is
-    N^-2 e^{-x|alpha|^2}: zero exactly where the herald has probability zero."""
+    N^-2 e^{-x|alpha|^2}: zero exactly where the herald has probability zero.
+    For |alpha| > 0 it equals eta r^2 |alpha|^2 times the denominator
+    loss + t^2 (1 + 1/|alpha|^2) of fidelity_closed_form."""
     return p.eta * p.r_mag**2 * (p.t**2 * (1.0 + a2) + a2 * (p.r_mag**2 * p.x + p.gamma_bs))
-
-
-def _vacuum_fidelity(p):
-    """F at alpha = 0: the vacuum truncates to itself, unless the herald
-    (eta r^2 t^2 there) has probability zero."""
-    if _herald_bracket(p, 0.0) == 0:
-        raise ValueError("F is undefined: the heralding event has probability zero "
-                         "(eta r^2 t^2 = 0 at alpha = 0)")
-    return 1.0
 
 
 def fidelity_ppb(alpha, eta):
@@ -213,25 +197,22 @@ def env_gram_oracle(p, env_cutoff=None):
     if tail > 1e-10:
         raise CutoffError(f"env_cutoff {env_cutoff} leaves tail {tail:.3e} of e^(x|a|^2), "
                           f"x|a|^2 = {b2:.6g}")
-    dims = (2, 2, env_cutoff + 1)
     v3 = coherent_amplitudes(beta, env_cutoff + 1)
     g0 = np.array([1.0, 0.0], dtype=complex)
     g1 = np.array([0.0, 1.0], dtype=complex)
     front = math.sqrt(p.eta) * p.r
-    lam0 = MultiModeState(
-        front * p.t * np.kron(np.kron(g0, g0), v3)
-        + front * alpha * p.r * math.sqrt(x) * np.kron(np.kron(g0, g1), v3)
-        + front * alpha * math.sqrt(G) * np.kron(np.kron(g1, g0), v3),
-        dims,
-    )
-    lam1 = MultiModeState(front * p.t * np.kron(np.kron(g0, g0), v3), dims)
+    # the two bundles as flat vectors over the (2, 2, env_cutoff + 1) modes
+    lam0 = (front * p.t * np.kron(np.kron(g0, g0), v3)
+            + front * alpha * p.r * math.sqrt(x) * np.kron(np.kron(g0, g1), v3)
+            + front * alpha * math.sqrt(G) * np.kron(np.kron(g1, g0), v3))
+    lam1 = front * p.t * np.kron(np.kron(g0, g0), v3)
     # 1/N^2 = e^{x|alpha|^2} * scaled_n2_inv
-    scaled_n2_inv = lam0.norm**2 + a2 * lam1.norm**2
+    scaled_n2_inv = np.linalg.norm(lam0)**2 + a2 * np.linalg.norm(lam1)**2
     N = math.exp(-b2 / 2) / math.sqrt(scaled_n2_inv)
     if N < sys.float_info.min:
         raise FloatingPointError(f"N = {N:.3e} is below the normal float range "
                                  f"at x|a|^2 = {b2:.6g}")
-    combined = lam0.amplitudes + a2 * lam1.amplitudes
+    combined = lam0 + a2 * lam1
     F = float(np.vdot(combined, combined).real) / scaled_n2_inv / (1.0 + a2)
     return N, F
 
@@ -244,19 +225,22 @@ def lqs_projection_oracle(alpha, t, r, cutoff, t2=None, r2=None):
     first-mode state with the outcome probability.  A second (t2, r2) pair
     makes the BSs distinct; by default they are identical.  Each splitter's
     unitary acts on its own mode pair by contraction over those two axes of
-    the (2, d, d) amplitude tensor.
+    the (2, d, d) amplitude tensor.  Raises ValueError where the outcome has
+    probability zero.
     """
     if t2 is None:
         t2, r2 = t, r
     d = cutoff + 2
+    dims = (2, d, d)
     coh, _ = coherent_state(alpha, cutoff + 1)
-    photon = np.array([0.0, 1.0], dtype=complex)
-    vac = np.zeros(d, dtype=complex)
-    vac[0] = 1.0
-    state = MultiModeState.product([photon, vac, coh.amplitudes])
-    dims = state.dims
+    psi = np.zeros(dims, dtype=complex)
+    psi[1, 0, :] = coh.amplitudes
     u1 = beam_splitter_unitary(t, r, (0, 1), dims).reshape(2, d, 2, d)
     u2 = beam_splitter_unitary(t2, r2, (1, 2), dims).reshape(d, d, d, d)
-    psi = np.tensordot(u1, state.tensor(), axes=([2, 3], [0, 1]))
+    psi = np.tensordot(u1, psi, axes=([2, 3], [0, 1]))
     psi = np.tensordot(psi, u2, axes=([1, 2], [2, 3]))
-    return project_and_renormalize(MultiModeState(psi, dims), [(1, 1), (2, 0)])
+    cond = psi[:, 1, 0]
+    prob = float(np.vdot(cond, cond).real)
+    if prob < 1e-14:
+        raise ValueError(f"zero-probability outcome (p = {prob:.3e})")
+    return FockVector(cond / np.sqrt(prob)), prob

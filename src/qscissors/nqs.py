@@ -7,12 +7,14 @@ damped evolution has an exact per-diagonal solution; kicks are displacement
 unitaries with closed-form matrix elements.
 
 The propagators and the kick matrix are array code.  A propagator family
-(one matrix per diagonal x = n - m) is evaluated in one pass over flat
-(x, j, l) index arrays cached per dimension; the thermal family's terminating
-hypergeometric sum runs in a loop over its summation index only, over a
-prefix of entries that shrinks as k passes each entry's m.  The kick matrix
-takes every Laguerre value from one recurrence.  A damped step is one
-matrix-vector product per diagonal, read and written through strided views.
+(one matrix per diagonal x = n - m) is the zero-padded (d, d, d) stack that
+fock._apply_diagonal_propagators takes; its entries are evaluated in one
+pass over flat (x, j, l) index arrays cached per dimension and scattered
+straight into the stack.  The thermal family's terminating hypergeometric
+sum runs in a loop over its summation index only, over a prefix of entries
+that shrinks as k passes each entry's m.  The kick matrix takes every
+Laguerre value from one recurrence.  A damped step is one batched
+matrix-vector product over all diagonals.
 
 Each step and the kick have one array-in/array-out core (_damped, _kerr,
 _kick); the public step functions wrap a core's output in a validated
@@ -100,9 +102,7 @@ class _FamilyIndex(NamedTuple):
 
     Entries are sorted by m = j descending, so those with m >= k form the
     prefix of length active[k].  n = j + x; xm = x*dim + m indexes a
-    per-diagonal power table of shape (dim, dim) at exponent m; dest is the
-    entry's position in the concatenated row-major blocks, block x filling
-    start[x]:start[x+1].
+    per-diagonal power table of shape (dim, dim) at exponent m.
     """
 
     x: np.ndarray
@@ -110,8 +110,6 @@ class _FamilyIndex(NamedTuple):
     m: np.ndarray
     l: np.ndarray
     xm: np.ndarray
-    dest: np.ndarray
-    start: np.ndarray
     active: np.ndarray
 
 
@@ -123,12 +121,8 @@ def _family_indices(dim):
     x, j, c = np.nonzero((r >= r[:, None]) & (r < dim - r[:, None, None]))
     order = np.argsort(-j, kind="stable")
     x, m, l = x[order], j[order], (c - j)[order]
-    size = dim - r
-    start = np.concatenate(([0], np.cumsum(size * size)))
-    idx = _FamilyIndex(
-        x=x, n=m + x, m=m, l=l, xm=x * dim + m, dest=start[x] + m * size[x] + m + l,
-        start=start, active=np.searchsorted(-m, -r, side="right"),
-    )
+    idx = _FamilyIndex(x=x, n=m + x, m=m, l=l, xm=x * dim + m,
+                       active=np.searchsorted(-m, -r, side="right"))
     for arr in idx:
         arr.flags.writeable = False
     return idx
@@ -204,26 +198,23 @@ def _propagator_family(dim, lam, nbar, tau, kind):
     Both build every diagonal's upper entries in one pass over flat index
     arrays.  Thermal excitation fills the lower triangles by the
     detailed-balance symmetry of the per-diagonal generator,
-    P[j, j-k] = q^k P[j-k, j] with q = nbar/(nbar+1).  Returns one
-    C-contiguous, read-only block per diagonal x, of size dim - x.
+    P[j, j-k] = q^k P[j-k, j] with q = nbar/(nbar+1).  Returns a read-only
+    (dim, dim, dim) stack whose block x acts on the entries rho[j + x, j]
+    and is zero beyond size dim - x.
     """
     if kind == "zero":
         upper, q = _zero_t_upper(dim, lam, tau), 0.0
     else:
         upper, q = _thermal_upper(dim, lam, nbar, tau), nbar / (nbar + 1)
     ix = _family_indices(dim)
-    flat = np.zeros(ix.start[-1], dtype=complex)
-    flat[ix.dest] = upper
-    rows = np.arange(dim)
-    balance = np.tril(q ** np.maximum(rows[:, None] - rows, 0), -1)
-    blocks = []
-    for x in range(dim):
-        size = dim - x
-        P = flat[ix.start[x]:ix.start[x + 1]].reshape(size, size)
-        P = P + balance[:size, :size] * P.T if q else P.copy()
-        P.flags.writeable = False
-        blocks.append(P)
-    return tuple(blocks)
+    col = ix.m + ix.l
+    stack = np.zeros((dim, dim, dim), dtype=complex)
+    stack[ix.x, ix.m, col] = upper
+    if q:
+        # mirrored entry P[j+l, j]; at l = 0 it rewrites the diagonal unchanged
+        stack[ix.x, col, ix.m] = q ** ix.l * upper
+    stack.flags.writeable = False
+    return stack
 
 
 def _damped(rho, lam, nbar, tau, kind):
@@ -231,8 +222,8 @@ def _damped(rho, lam, nbar, tau, kind):
 
     Raises CutoffError if the step moves the trace by more than LEAKAGE_TOL.
     """
-    props = _propagator_family(rho.shape[0], float(lam), float(nbar), float(tau), kind)
-    out = _apply_diagonal_propagators(rho, props)
+    stack = _propagator_family(rho.shape[0], float(lam), float(nbar), float(tau), kind)
+    out = _apply_diagonal_propagators(rho, stack)
     check_trace_drift(rho, out, "zero-T step" if kind == "zero" else "thermal step")
     return out
 

@@ -320,6 +320,19 @@ def test_out_of_domain_inputs_exit_2(capsys, argv, field):
     assert caught == []
 
 
+@pytest.mark.parametrize("gamma_bs, r_sq", [("0.1", "0.9"), ("0.3", "0.7")])
+def test_zero_transmission_herald_exits_2_without_table(tmp_path, capsys, gamma_bs, r_sq):
+    # r^2 + Gamma = 1 leaves t = 0, exactly or within rounding of the
+    # subtraction; the alpha = 0 row's herald has probability zero either way
+    argv = ["lqs", "--alpha", "0:1:3", "--eta", "1", "--gamma-bs", gamma_bs,
+            "--r-sq", r_sq, "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: F is undefined: the heralding event has probability zero")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lqs_bad_point_writes_no_table(tmp_path, capsys):
     # the (gamma_bs 0.9, r_sq 0.3) table is invalid; the tables before it
     # must not be written either

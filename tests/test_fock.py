@@ -11,14 +11,13 @@ from scipy.linalg import expm
 from qscissors.fock import (
     DensityMatrix,
     FockVector,
-    MultiModeState,
+    _apply_diagonal_propagators,
     annihilation_matrix,
     beam_splitter_unitary,
     coherent_state,
     fidelity,
     nqs_target_state,
     number_matrix,
-    project_and_renormalize,
     truncated_coherent_state,
 )
 
@@ -153,17 +152,6 @@ def test_fidelity_pads_and_clamps():
         fidelity(FockVector([0.0, 0.0, 0.0, 1.0]), rho)
 
 
-def test_multimode_product_and_tensor():
-    s = MultiModeState.product([[1.0, 0.0], [0.0, 2.0]])  # normalizes
-    assert s.dims == (2, 2)
-    assert abs(s.norm - 1.0) < 1e-15
-    t = s.tensor()
-    assert t.shape == (2, 2)
-    assert abs(t[0, 1] - 1.0) < 1e-15
-    with pytest.raises(ValueError):
-        MultiModeState(np.zeros(5), (2, 2))
-
-
 def test_beam_splitter_unitarity_and_number_conservation():
     dims = (4, 4)
     t = np.sqrt(0.6)
@@ -236,35 +224,6 @@ def test_beam_splitter_rejects_lossy_pair():
         beam_splitter_unitary(0.9, 0.9j, (0, 1), (3, 3))
 
 
-def test_projection_on_bell_like_state():
-    # (|0,1> + |1,0>)/sqrt(2); conditioning mode 1 on |1> leaves |0>
-    amp = np.zeros(4, dtype=complex)
-    amp[1] = amp[2] = 1 / np.sqrt(2)
-    s = MultiModeState(amp, (2, 2))
-    out, p = project_and_renormalize(s, [(1, 1)])
-    assert abs(p - 0.5) < 1e-15
-    assert isinstance(out, FockVector)
-    assert abs(out.amplitudes[0] - 1.0) < 1e-15
-
-
-def test_projection_multi_mode_remainder():
-    s = MultiModeState.product([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-    out, p = project_and_renormalize(s, [(1, 1)])
-    assert isinstance(out, MultiModeState)
-    assert out.dims == (2, 2)
-    assert abs(p - 1.0) < 1e-14
-
-
-def test_projection_error_paths():
-    s = MultiModeState.product([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ValueError):
-        project_and_renormalize(s, [(0, 1)])  # zero-probability outcome
-    with pytest.raises(ValueError):
-        project_and_renormalize(s, [(0, 5)])  # outcome outside dimension
-    with pytest.raises(ValueError):
-        project_and_renormalize(s, [(0, 0), (0, 0)])  # mode listed twice
-
-
 def test_coherent_state_single_level_cutoff():
     # cutoff 0 keeps only the n=0 term: renormalizes to vacuum, reports
     # the e^{-|alpha|^2} norm deficit, and warns about the clipping
@@ -304,19 +263,29 @@ def test_beam_splitter_full_transmission_is_identity():
     assert np.array_equal(U, np.eye(9))
 
 
-def test_projection_passes_through_unmeasured_mode():
-    # conditioning |1,0>|phi> on exactly its own outcome leaves |phi>, p=1
-    phi = np.array([0.6, 0.8j], dtype=complex)
-    s = MultiModeState.product([[0.0, 1.0], [1.0, 0.0], phi])
-    out, p = project_and_renormalize(s, [(0, 1), (1, 0)])
-    assert abs(p - 1.0) < 1e-14
-    assert np.max(np.abs(out.amplitudes - phi)) < 1e-14
+def _apply_loop(rho, stack):
+    """Reference: one matrix-vector product per diagonal, mirrored."""
+    d = rho.shape[0]
+    out = np.diag(stack[0] @ rho.diagonal())
+    for x in range(1, d):
+        w = stack[x, :d - x, :d - x] @ rho.diagonal(-x)
+        out = out + np.diag(w, -x) + np.diag(w.conj(), x)
+    return out
 
 
-def test_projection_complete_outcome_set_sums_to_one():
-    rng = np.random.default_rng(7)
-    amp = rng.normal(size=12) + 1j * rng.normal(size=12)
-    amp /= np.linalg.norm(amp)
-    s = MultiModeState(amp, (4, 3))
-    total = sum(project_and_renormalize(s, [(0, k)])[1] for k in range(4))
-    assert abs(total - 1.0) < 1e-10
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 45), seed=st.integers(0, 2**32 - 1))
+def test_apply_diagonal_propagators_equals_loop(d, seed):
+    # a random Hermitian rho and a random stack, block x zero beyond size
+    # d - x: the batched gather-matmul-mirror must equal the per-diagonal loop
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = A + A.conj().T
+    k = np.arange(d)
+    inside = k < d - k[:, None]  # [x, j]: j lies inside block x
+    stack = rng.normal(size=(d, d, d)) + 1j * rng.normal(size=(d, d, d))
+    stack *= inside[:, :, None] & inside[:, None, :]
+    got = _apply_diagonal_propagators(rho, stack)
+    want = _apply_loop(rho, stack)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(np.tril(got, -1), np.triu(got, 1).conj().T)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qscissors import lindblad
 from qscissors.fock import (
     CutoffError,
     DensityMatrix,
@@ -101,7 +102,7 @@ def test_generator_blocks_reproduce_rhs(d, lam, nbar, seed):
     assert L.shape == (d, d, d)
     for x in range(1, d):
         assert np.all(L[x, d - x:, :] == 0) and np.all(L[x, :, d - x:] == 0)
-    got = _apply_diagonal_propagators(rho, [L[x, :d - x, :d - x] for x in range(d)])
+    got = _apply_diagonal_propagators(rho, L)
     assert np.max(np.abs(got - lindblad_rhs(rho, 1.0, lam, nbar))) < 1e-13
 
 
@@ -121,6 +122,26 @@ def test_integrate_matches_step_loop(seed, dim, tau, lam, nbar, want_steps):
     want = _rk4_run(rho0, n_steps, tau / n_steps, lam, nbar)
     got = integrate(DensityMatrix(rho0), tau, p, cfg).elements
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_integrate_propagator_is_zero_padded(monkeypatch):
+    # block x of the RK4 propagator acts on d - x entries; its identity
+    # term must not leave ones on the padding
+    seen = []
+
+    def spy(rho, stack):
+        seen.append(stack)
+        return _apply_diagonal_propagators(rho, stack)
+
+    monkeypatch.setattr(lindblad, "_apply_diagonal_propagators", spy)
+    d = 8
+    p = NqsParams(epsilon=0.1, kicks=1, cutoff=d - 1, lam=0.3, nbar=0.4)
+    integrate(DensityMatrix(_random_density(42, d)), 0.05, p)
+    (stack,) = seen
+    assert stack.shape == (d, d, d)
+    for x in range(d):
+        assert not np.any(stack[x, d - x:]) and not np.any(stack[x, :, d - x:])
+        assert np.all(np.diagonal(stack[x])[:d - x] != 0)
 
 
 def test_rhs_cached_ladders_follow_the_dimension():

@@ -82,10 +82,12 @@ def test_fidelity_undefined_without_reflection(alpha, eta, gamma_bs):
         normalization_closed_form(p)
 
 
-@pytest.mark.parametrize("eta, gamma_bs", [(1.0, 0.3), (0.6, 0.3), (0.8, 0.5)])
+@pytest.mark.parametrize("eta, gamma_bs", [(1.0, 0.3), (0.6, 0.3), (0.8, 0.5), (1.0, 0.1),
+                                            (0.6, 0.2)])
 def test_fidelity_undefined_at_vacuum_without_transmission(eta, gamma_bs):
     # t = 0 with Gamma > 0: at alpha = 0 the herald's probability
-    # eta r^2 t^2 is zero, so F raises wherever N does
+    # eta r^2 t^2 is zero, so F raises wherever N does; at Gamma = 0.1 and
+    # 0.2 the subtraction 1 - Gamma - r_mag^2 leaves +1.1e-16, which is t = 0
     p = LqsParams(alpha=0.0, eta=eta, gamma_bs=gamma_bs, r_mag=math.sqrt(1.0 - gamma_bs))
     assert p.t == 0.0
     for f in (fidelity_closed_form, fidelity_unsimplified, normalization_closed_form):
@@ -190,6 +192,13 @@ def test_projection_oracle_two_level_output_and_probability():
     assert out.dim == 2
     want = math.exp(-alpha**2) * (1 - t2) * t2 * (1 + alpha**2)
     assert abs(p - want) < 1e-12
+
+
+def test_projection_oracle_zero_probability_herald_raises():
+    # t = 0: the photon is reflected into the middle mode and the second
+    # splitter swaps it into the last, so <1|, <0| never click
+    with pytest.raises(ValueError, match="zero-probability outcome"):
+        lqs_projection_oracle(0.5, 0.0, 1j, 10)
 
 
 def test_general_bs_identical_pair_is_truncated_coherent():

@@ -377,19 +377,34 @@ _STEP_PARAMS = dict(
 def test_families_equal_scalar_loops(dim, lam, nbar, tau):
     zero = _propagator_family(dim, lam, 0.0, tau, "zero")
     thermal = _propagator_family(dim, lam, nbar, tau, "thermal")
-    assert len(zero) == len(thermal) == dim
+    assert zero.shape == thermal.shape == (dim, dim, dim)
     for x in range(dim):
-        assert zero[x].shape == thermal[x].shape == (dim - x, dim - x)
-        assert np.max(np.abs(zero[x] - _zero_t_propagator_loop(x, dim - x, lam, tau))) < 1e-13
-        want = _thermal_propagator_loop(x, dim - x, lam, nbar, tau)
-        assert np.max(np.abs(thermal[x] - want)) < 1e-13
+        size = dim - x
+        want = _zero_t_propagator_loop(x, size, lam, tau)
+        assert np.max(np.abs(zero[x, :size, :size] - want)) < 1e-13
+        want = _thermal_propagator_loop(x, size, lam, nbar, tau)
+        assert np.max(np.abs(thermal[x, :size, :size] - want)) < 1e-13
+
+
+@pytest.mark.parametrize("kind, nbar", [("zero", 0.0), ("thermal", 0.0), ("thermal", 0.4)])
+@pytest.mark.parametrize("dim", [2, 7, 30])
+def test_families_are_zero_padded(kind, nbar, dim):
+    # block x acts on the dim - x entries rho[j + x, j]; rows and columns
+    # beyond that are padding and must be exactly zero
+    stack = _propagator_family(dim, 0.2, nbar, 1.3, kind)
+    for x in range(dim):
+        size = dim - x
+        assert not np.any(stack[x, size:]) and not np.any(stack[x, :, size:])
+        assert np.all(np.diagonal(stack[x])[:size] != 0)
 
 
 @settings(max_examples=30, deadline=None)
 @given(dim=st.integers(2, 25), **_STEP_PARAMS)
 def test_thermal_family_detailed_balance(dim, lam, nbar, tau):
     q = nbar / (nbar + 1)
-    for P in _propagator_family(dim, lam, nbar, tau, "thermal"):
+    stack = _propagator_family(dim, lam, nbar, tau, "thermal")
+    for x in range(dim):
+        P = stack[x, :dim - x, :dim - x]
         for k in range(1, P.shape[0]):
             lower, upper = np.diagonal(P, -k), np.diagonal(P, k)
             assert np.max(np.abs(lower - q**k * upper)) <= 1e-15 * max(1.0, np.max(np.abs(lower)))
@@ -430,7 +445,7 @@ def test_thermal_family_large_time_no_warning():
         warnings.simplefilter("error")
         for lam in (0.05, 0.5):
             family = _propagator_family(81, lam, 2.0, 20.0, "thermal")
-            assert all(np.all(np.isfinite(P)) for P in family)
+            assert np.all(np.isfinite(family))
     # populations relax: the x = 0 block is column-stochastic within the cutoff
     assert np.all(family[0].sum(axis=0).real <= 1.0 + 1e-12)
 
@@ -438,10 +453,9 @@ def test_thermal_family_large_time_no_warning():
 def test_cached_propagators_are_read_only():
     for kind in ("zero", "thermal"):
         family = _propagator_family(6, 0.1, 0.2 if kind == "thermal" else 0.0, 1.0, kind)
-        for P in family:
-            assert P.flags.c_contiguous and not P.flags.writeable
+        assert family.flags.c_contiguous and not family.flags.writeable
         with pytest.raises(ValueError):
-            family[1][0, 0] = 1.0
+            family[1, 0, 0] = 1.0
     for arr in _family_indices(6):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -500,7 +514,8 @@ def test_evolve_kicked_validates_final_state(monkeypatch):
     family = nqs._propagator_family
 
     def inflated(*args):
-        return tuple(P if x == 0 else 3 * P for x, P in enumerate(family(*args)))
+        stack = family(*args)
+        return stack * np.where(np.arange(len(stack)) == 0, 1, 3)[:, None, None]
 
     monkeypatch.setattr(nqs, "_propagator_family", inflated)
     p = NqsParams(epsilon=0.1, kicks=3, cutoff=12, lam=0.05)

@@ -12,6 +12,8 @@ Three independent computations, one answer.
 
 import math
 
+import numpy as np
+
 from qscissors import (
     LqsParams,
     env_gram_oracle,
@@ -45,7 +47,7 @@ def main():
         t, r = math.sqrt(0.5), 1j * math.sqrt(0.5)
         out, prob = lqs_projection_oracle(alpha, t, r, cutoff=15)
         ideal = truncated_state_general_bs(alpha, t, r, t, r)
-        mismatch = 1.0 - abs(ideal.overlap(out))
+        mismatch = 1.0 - abs(np.vdot(ideal.amplitudes, out.amplitudes[:2]))
         print(f"  |alpha| = {alpha:.1f}:  success probability {prob:.6f}, "
               f"overlap deficit vs two-level form {mismatch:.2e}")
     print()

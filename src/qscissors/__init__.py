@@ -21,10 +21,6 @@ from .fock import (
     annihilation_matrix,
     beam_splitter_unitary,
     coherent_state,
-    fidelity,
-    nqs_target_state,
-    number_matrix,
-    truncated_coherent_state,
 )
 from .lindblad import IntegratorConfig, integrate, lindblad_rhs
 from .lqs import (
@@ -45,14 +41,11 @@ from .nqs import (
     apply_kick,
     evolve_kicked,
     kick_unitary,
-    nbar_from_temperature,
     truncation_fidelity,
     unitary_kerr_step,
 )
 from .specfun import (
-    DampingCoefficients,
     damping_coefficients,
     laguerre_assoc,
-    ln_factorial,
     sqrt_binomial_ratio,
 )

@@ -37,7 +37,7 @@ def check_trace_drift(rho_in, rho_out, what):
     more than LEAKAGE_TOL: trace-preserving evolution on a truncated space
     loses trace only by pushing population past the cutoff."""
     drift = abs(float(np.trace(rho_out).real) - float(np.trace(rho_in).real))
-    if drift > LEAKAGE_TOL:
+    if not drift <= LEAKAGE_TOL:  # a nan drift fails too
         raise CutoffError(f"{what}: trace drifted by {drift:.3e} (tolerance "
                           f"{LEAKAGE_TOL:.0e}); the state reaches the cutoff, enlarge it")
 
@@ -96,22 +96,6 @@ class FockVector:
     @property
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self):
-        return FockVector(self.amplitudes / self.norm)
-
-    def to_dim(self, dim):
-        """Zero-pad to a larger dimension; truncation is refused."""
-        if dim < self.dim:
-            raise ValueError(f"cannot shrink FockVector from {self.dim} to {dim}")
-        out = np.zeros(dim, dtype=complex)
-        out[: self.dim] = self.amplitudes
-        return FockVector(out)
-
-    def overlap(self, other):
-        """<self|other>, padding the shorter vector."""
-        d = max(self.dim, other.dim)
-        return complex(np.vdot(self.to_dim(d).amplitudes, other.to_dim(d).amplitudes))
 
     def density_matrix(self):
         psi = self.amplitudes
@@ -207,40 +191,9 @@ def coherent_state(alpha, cutoff):
     return FockVector(amp / np.sqrt(n2)), deficit
 
 
-def truncated_coherent_state(alpha):
-    """Two-level truncation (|0> + alpha|1>)/sqrt(1+|alpha|^2)."""
-    return FockVector(np.array([1.0, alpha], dtype=complex) / np.sqrt(1 + abs(alpha) ** 2))
-
-
-def nqs_target_state(kick_count, eps):
-    """Qubit state (cos(k eps), -i sin(k eps)) targeted after k kicks."""
-    if kick_count < 0 or eps < 0:
-        raise ValueError("kick_count and eps must be nonnegative")
-    th = kick_count * eps
-    return FockVector(np.array([np.cos(th), -1j * np.sin(th)]))
-
-
 def annihilation_matrix(cutoff):
     """Ladder matrix a with a_{n-1,n} = sqrt(n), dimension cutoff+1."""
     return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), 1).astype(complex)
-
-
-def number_matrix(cutoff):
-    """Photon-number matrix a^dag a."""
-    return np.diag(np.arange(cutoff + 1, dtype=float)).astype(complex)
-
-
-def fidelity(psi, rho):
-    """<psi|rho|psi> as a real number, clamped to [0, 1].
-
-    psi is zero-padded up to the density matrix dimension; a psi that is
-    longer than rho is a genuine dimension mismatch and raises.
-    """
-    if psi.dim > rho.dim:
-        raise ValueError(f"state dim {psi.dim} exceeds density matrix dim {rho.dim}")
-    v = psi.to_dim(rho.dim).amplitudes
-    f = float(np.vdot(v, rho.elements @ v).real)
-    return min(max(f, 0.0), 1.0)
 
 
 def beam_splitter_unitary(t, r, mode_pair, dims):

@@ -9,7 +9,6 @@ Fock-space simulation of the lossless pipeline and an explicit environment-
 mode realization of the Langevin noise operators.
 """
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ import numpy as np
 from .fock import CutoffError, FockVector, beam_splitter_unitary, coherent_amplitudes, coherent_state
 
 _COEF_TOL = 1e-10
+_ALPHA_MAX = math.sqrt(sys.float_info.max)  # largest |alpha| whose square is finite
 
 
 @dataclass
@@ -29,8 +29,8 @@ class LqsParams:
     coefficient Omega = t r^* + t^* r identically zero.  Each BS dissipates
     Gamma = gamma_bs, with t^2 + r_mag^2 + Gamma = 1, so the inputs are
     r_mag and Gamma and t = sqrt(1 - Gamma - r_mag^2) is derived once,
-    here.  alpha must be finite, r_mag lie in [0, 1], Gamma in [0, 1] with
-    r_mag^2 + Gamma <= 1, and eta in (0, 1].
+    here.  |alpha|^2 must be a finite float, r_mag lie in [0, 1], Gamma in
+    [0, 1] with r_mag^2 + Gamma <= 1, and eta in (0, 1].
     """
 
     alpha: complex
@@ -40,8 +40,9 @@ class LqsParams:
     t: float = field(init=False)
 
     def __post_init__(self):
-        if not cmath.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if not abs(self.alpha) <= _ALPHA_MAX:  # nan and inf fail too
+            raise ValueError(f"alpha must be finite with |alpha|^2 inside the float "
+                             f"range, got {self.alpha}")
         if not 0.0 <= self.r_mag <= 1.0:
             raise ValueError(f"r_mag must lie in [0, 1], got {self.r_mag}")
         if not 0.0 <= self.gamma_bs <= 1.0:

@@ -20,8 +20,9 @@ Each step and the kick have one array-in/array-out core (_damped, _kerr,
 _kick); the public step functions wrap a core's output in a validated
 DensityMatrix.  evolve_kicked runs the cores directly and validates the
 state twice, at the start and at the end of the trajectory: each damped
-step keeps its trace-drift guard, every core returns a Hermitian array by
-construction, and a non-positive final state raises ValueError.
+step and each kick keeps its trace-drift guard, every core returns a
+Hermitian array by construction, and a non-positive final state raises
+ValueError.
 """
 
 import functools
@@ -80,7 +81,7 @@ class NqsParams:
             warnings.warn(
                 f"epsilon = {self.epsilon} is not small; the kicks must stay much "
                 "weaker than the Kerr interaction for clean truncation",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
 
 
@@ -167,9 +168,7 @@ def _thermal_upper(dim, lam, nbar, tau):
     """
     ix = _family_indices(dim)
     x, n, m, l, xm = ix.x, ix.n, ix.m, ix.l, ix.xm
-    co = [damping_coefficients(xi, lam, nbar, tau) for xi in range(dim)]
-    E = np.array([c.E for c in co])
-    g = np.array([c.g_bar for c in co])
+    E, g = np.array([damping_coefficients(xi, lam, nbar, tau) for xi in range(dim)]).T
     q = nbar / (nbar + 1)
     xs = np.arange(dim)
     pref = np.exp(lam * tau / 2 + 1j * xs * tau) * E ** (xs + 1)
@@ -289,23 +288,29 @@ def kick_unitary(eps, cutoff):
 
 
 def _kick(rho, U):
-    """Array core of one kick, U rho U^dag, made Hermitian by construction."""
+    """Array core of one kick, U rho U^dag, made Hermitian by construction.
+
+    Raises CutoffError if the kick moves the trace by more than LEAKAGE_TOL.
+    """
     if U.shape[0] != rho.shape[0]:
         raise ValueError(f"kick matrix dim {U.shape[0]} != state dim {rho.shape[0]}")
     out = U @ rho @ U.conj().T
-    return 0.5 * (out + out.conj().T)
+    out = 0.5 * (out + out.conj().T)
+    check_trace_drift(rho, out, "kick")
+    return out
 
 
 def apply_kick(rho_in, U):
-    """One kick: rho -> U rho U^dag."""
+    """One kick: rho -> U rho U^dag; CutoffError if it moves the trace."""
     return DensityMatrix(_kick(rho_in.elements, U))
 
 
 def truncation_fidelity(rho, k, eps):
     """Overlap with the k-kick target qubit, from the 2x2 corner of rho.
 
-    cos^2(k eps) rho_00 + sin(2 k eps) Im rho_01 + sin^2(k eps) rho_11;
-    identical to fidelity(nqs_target_state(k, eps), rho).
+    cos^2(k eps) rho_00 + sin(2 k eps) Im rho_01 + sin^2(k eps) rho_11,
+    which is <psi_k|rho|psi_k> for the target psi_k = (cos(k eps),
+    -i sin(k eps)), clamped to [0, 1].
     """
     el = rho.elements
     if el.shape[0] < 2:
@@ -338,9 +343,9 @@ def evolve_kicked(p, initial=None):
     The loop runs on arrays.  The state is validated twice, as a
     DensityMatrix at the start and at the end of the trajectory.  In
     between it only passes through CPTP steps (the kick and the Kerr phases
-    unitary, the damped steps trace-checked) whose output is Hermitian by
-    construction, so the intermediate records hold unchecked DensityMatrix
-    objects (DensityMatrix._trusted).
+    unitary, the kick and the damped steps trace-checked) whose output is
+    Hermitian by construction, so the intermediate records hold unchecked
+    DensityMatrix objects (DensityMatrix._trusted).
 
     Args:
         p: NqsParams.
@@ -348,7 +353,7 @@ def evolve_kicked(p, initial=None):
             smaller than the cutoff dimension are zero-padded.
 
     Raises:
-        fock.CutoffError: if any step moves the trace by more than
+        fock.CutoffError: if any kick or step moves the trace by more than
             fock.LEAKAGE_TOL (1e-8).
         ValueError: if the final state is not Hermitian or has an eigenvalue
             below -fock.EIG_TOL.
@@ -390,20 +395,3 @@ def evolve_kicked(p, initial=None):
         records.append(record(k * p.tau_k, k, DensityMatrix._trusted(rho)))
     DensityMatrix(rho)  # end-of-trajectory validation
     return records
-
-
-def nbar_from_temperature(omega, T):
-    """Bose-Einstein occupation of a mode at angular frequency omega."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if T < 0:
-        raise ValueError("temperature must be nonnegative")
-    if T == 0:
-        return 0.0
-    # exact SI values of h/(2 pi) and k_B; bit-equal to scipy.constants.hbar and k
-    hbar = 6.62607015e-34 / (2 * math.pi)
-    k_B = 1.380649e-23
-    ratio = hbar * omega / (k_B * T)
-    if ratio > 700:
-        return 0.0
-    return 1.0 / np.expm1(ratio)

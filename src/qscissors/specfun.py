@@ -6,7 +6,6 @@ coefficients of the thermal solution.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,17 +29,10 @@ def laguerre_assoc(n, k, x):
     return out if out.ndim else out[()]
 
 
-def ln_factorial(n):
-    """ln(n!) via lgamma."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return math.lgamma(n + 1)
-
-
 @functools.lru_cache(maxsize=16)
 def _ln_factorials(top):
     """ln(0!), ..., ln(top!) as a read-only array."""
-    table = np.array([ln_factorial(i) for i in range(top + 1)])
+    table = np.array([math.lgamma(i + 1) for i in range(top + 1)])
     table.flags.writeable = False
     return table
 
@@ -61,23 +53,8 @@ def sqrt_binomial_ratio(n, m, l):
     return out if out.ndim else float(out)
 
 
-@dataclass
-class DampingCoefficients:
-    """Per-diagonal coefficients of the exact damped-oscillator propagator.
-
-    delta is the principal square root of omega^2 - 4 nbar (nbar + 1), so
-    delta**2 recovers that combination to rounding.
-    """
-
-    omega: complex
-    delta: complex
-    t_x: complex
-    E: complex
-    g_bar: complex
-
-
 def damping_coefficients(x, lam, nbar, tau):
-    """Coefficients Omega_x, Delta_x, t_x, E_x, g_bar_x of the damped step.
+    """Coefficients (E_x, g_bar_x) of the exact damped step, as complex numbers.
 
     x is the diagonal offset n - m, lam the damping rate in units of the
     Kerr coupling, nbar the thermal occupation and tau the duration in
@@ -85,21 +62,26 @@ def damping_coefficients(x, lam, nbar, tau):
     operation's domain; the lossless case goes through the unitary Kerr
     step instead.
 
-    With D = (Omega + Delta) + (Delta - Omega) e^{-2 t_x}, E = 2 Delta
-    e^{-t_x}/D and g_bar = 2 (nbar + 1)(1 - e^{-2 t_x})/D: the sinh/cosh
-    forms with e^{t_x} factored out, stable for Re(t_x) >= 0 (which the
-    principal branch of Delta guarantees).  1 - e^{-2 t_x} goes through
-    expm1, so one formula holds down to t_x = 0, where g_bar = 0 exactly.
+    With Omega = 1 + 2 nbar + i y, y = x/lam, Delta the principal square
+    root of Omega^2 - 4 nbar (nbar + 1) = 1 - y^2 + 2 i (1 + 2 nbar) y (the
+    expanded form, which neither cancels nor overflows at large nbar) and
+    t_x = lam Delta tau/2: with D = (Omega + Delta) + (Delta - Omega)
+    e^{-2 t_x}, E = 2 Delta e^{-t_x}/D and g_bar = 2 (nbar + 1)(1 -
+    e^{-2 t_x})/D.  These are the sinh/cosh forms with e^{t_x} factored
+    out, stable for Re(t_x) >= 0 (which the principal branch of Delta
+    guarantees).  1 - e^{-2 t_x} goes through expm1, so one formula holds
+    down to t_x = 0, where g_bar = 0 exactly.
     """
     if lam <= 0:
         raise ValueError("lam must be positive; lambda = 0 is the unitary Kerr path")
     if nbar < 0:
         raise ValueError("nbar must be nonnegative")
-    omega = 1 + 2 * nbar + 1j * x / lam
-    delta = np.sqrt(complex(omega**2 - 4 * nbar * (nbar + 1)))
+    y = x / lam
+    omega = 1 + 2 * nbar + 1j * y
+    delta = np.sqrt(complex(1 - y * y, 2 * (1 + 2 * nbar) * y))
     t_x = lam * delta * tau / 2
     em2 = np.exp(-2 * t_x)
     D = (omega + delta) + (delta - omega) * em2
     E = 2 * delta * np.exp(-t_x) / D
     g_bar = 2 * (nbar + 1) * -np.expm1(-2 * t_x) / D
-    return DampingCoefficients(omega=omega, delta=delta, t_x=t_x, E=E, g_bar=g_bar)
+    return E, g_bar

@@ -308,6 +308,7 @@ _NQS = ["nqs", "--epsilon", "0.1", "--kicks", "2", "--cutoff", "10"]
     (_LQS + ["--gamma-bs", "0.1", "--r-sq", "0"], "r_mag = 0"),
     (["lqs", "--alpha", "0:1:3", "--eta", "1", "--gamma-bs", "0.3", "--r-sq", "0.7"],
      "F is undefined: the heralding event has probability zero"),
+    (["lqs", "--alpha", "1e200", "--eta", "0.9", "--gamma-bs", "0.1", "--r-sq", "0.5"], "alpha"),
 ])
 def test_out_of_domain_inputs_exit_2(capsys, argv, field):
     with warnings.catch_warnings(record=True) as caught:
@@ -318,6 +319,23 @@ def test_out_of_domain_inputs_exit_2(capsys, argv, field):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert field in out.err
     assert caught == []
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["nqs", "--epsilon", "10", "--kicks", "1", "--cutoff", "20"], "kick"),
+    (_NQS + ["--lambda", "0.1", "--nbar", "1e10"], "thermal step"),
+    (_NQS + ["--lambda", "0.1", "--nbar", "1e160"], "thermal step"),
+])
+def test_trace_loss_exits_1(capsys, argv, what):
+    # a kick or a thermal step that pushes the state past the cutoff is a
+    # numerical failure with one error line, never a traceback or a nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _exit_code(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {what}: trace drifted") and out.err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("gamma_bs, r_sq", [("0.1", "0.9"), ("0.3", "0.7")])

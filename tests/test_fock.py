@@ -1,4 +1,5 @@
-"""Tests for truncated Fock-space states, operators and measurements."""
+"""Tests for truncated Fock-space states, operators, beam splitters and the
+per-diagonal propagator apply."""
 
 import warnings
 
@@ -9,16 +10,14 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qscissors.fock import (
+    CutoffError,
     DensityMatrix,
     FockVector,
     _apply_diagonal_propagators,
     annihilation_matrix,
     beam_splitter_unitary,
+    check_trace_drift,
     coherent_state,
-    fidelity,
-    nqs_target_state,
-    number_matrix,
-    truncated_coherent_state,
 )
 
 
@@ -26,10 +25,6 @@ def test_fock_vector_basics():
     v = FockVector([1.0, 0.0, 0.0])
     assert v.dim == 3
     assert abs(v.norm - 1.0) < 1e-15
-    w = v.to_dim(5)
-    assert w.dim == 5
-    assert abs(w.amplitudes[0] - 1.0) < 1e-15
-    assert np.all(w.amplitudes[3:] == 0)
 
 
 def test_fock_vector_rejects_bad_norm():
@@ -39,25 +34,6 @@ def test_fock_vector_rejects_bad_norm():
         FockVector([1.0, 1.0])  # norm^2 = 2
     with pytest.raises(ValueError):
         FockVector([])
-
-
-def test_fock_vector_no_truncation():
-    v = FockVector([0.6, 0.8])
-    with pytest.raises(ValueError):
-        v.to_dim(1)
-
-
-def test_overlap_pads_shorter():
-    v = FockVector([0.6, 0.8])
-    w = FockVector([1.0, 0.0, 0.0, 0.0])
-    assert abs(v.overlap(w) - 0.6) < 1e-15
-    assert abs(w.overlap(v) - 0.6) < 1e-15
-
-
-def test_normalized_subnormalized_vector():
-    v = FockVector([0.5, 0.5])  # norm^2 = 0.5, legal
-    u = v.normalized()
-    assert abs(u.norm - 1.0) < 1e-15
 
 
 def test_density_matrix_validation():
@@ -73,13 +49,23 @@ def test_density_matrix_validation():
         DensityMatrix(np.zeros((2, 3)))
 
 
+def test_trace_drift_guard():
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    check_trace_drift(rho, rho + 1e-9 * np.eye(2) / 2, "step")  # within 1e-8
+    with pytest.raises(CutoffError, match="^step: trace drifted by 1.000e-07"):
+        check_trace_drift(rho, rho + 1e-7 * np.eye(2) / 2, "step")
+    with pytest.raises(CutoffError, match="^step: trace drifted by nan"):
+        check_trace_drift(rho, np.full((2, 2), np.nan), "step")
+
+
 def test_pure_state_round_trip():
     rng = np.random.default_rng(11)
     amp = rng.normal(size=4) + 1j * rng.normal(size=4)
     v = FockVector(amp / np.linalg.norm(amp))
     rho = v.density_matrix()
     assert abs(rho.purity - 1.0) < 1e-12
-    assert abs(fidelity(v, rho) - 1.0) < 1e-12
+    f = np.vdot(v.amplitudes, rho.elements @ v.amplitudes).real  # <psi|rho|psi>
+    assert abs(f - 1.0) < 1e-12
 
 
 def test_coherent_state_moments():
@@ -90,7 +76,8 @@ def test_coherent_state_moments():
     # eigenstate of the truncated ladder up to the far tail
     resid = a @ v.amplitudes - alpha * v.amplitudes
     assert np.max(np.abs(resid[:25])) < 1e-10
-    nbar = np.vdot(v.amplitudes, number_matrix(30) @ v.amplitudes).real
+    number = np.diag(np.arange(31.0))
+    nbar = np.vdot(v.amplitudes, number @ v.amplitudes).real
     assert abs(nbar - abs(alpha) ** 2) < 1e-12
 
 
@@ -118,38 +105,13 @@ def test_coherent_state_vacuum_and_warning():
         coherent_state(1.0, -1)
 
 
-def test_truncated_coherent_state():
-    v = truncated_coherent_state(0.5)
-    assert v.dim == 2
-    assert abs(v.amplitudes[1] / v.amplitudes[0] - 0.5) < 1e-15
-    assert abs(v.norm - 1.0) < 1e-15
-
-
-def test_nqs_target_state():
-    v = nqs_target_state(0, 0.1)
-    assert abs(v.amplitudes[0] - 1.0) < 1e-15
-    v = nqs_target_state(3, 0.2)
-    assert abs(v.amplitudes[0] - np.cos(0.6)) < 1e-15
-    assert abs(v.amplitudes[1] + 1j * np.sin(0.6)) < 1e-15
-    with pytest.raises(ValueError):
-        nqs_target_state(-1, 0.1)
-
-
 def test_ladder_matrices():
     a = annihilation_matrix(4)
-    n = number_matrix(4)
+    n = np.diag(np.arange(5.0))
     assert np.allclose(a.conj().T @ a, n)
     # [a, a^dag] = 1 away from the cutoff edge
     comm = a @ a.conj().T - a.conj().T @ a
     assert np.allclose(np.diag(comm)[:-1], 1.0)
-
-
-def test_fidelity_pads_and_clamps():
-    rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
-    psi = FockVector([1.0, 0.0])
-    assert abs(fidelity(psi, rho) - 0.5) < 1e-15
-    with pytest.raises(ValueError):
-        fidelity(FockVector([0.0, 0.0, 0.0, 1.0]), rho)
 
 
 def test_beam_splitter_unitarity_and_number_conservation():
@@ -157,7 +119,8 @@ def test_beam_splitter_unitarity_and_number_conservation():
     t = np.sqrt(0.6)
     U = beam_splitter_unitary(t, 1j * np.sqrt(0.4), (0, 1), dims)
     assert np.max(np.abs(U.conj().T @ U - np.eye(16))) < 1e-12
-    n_tot = np.kron(number_matrix(3), np.eye(4)) + np.kron(np.eye(4), number_matrix(3))
+    number = np.diag(np.arange(4.0))
+    n_tot = np.kron(number, np.eye(4)) + np.kron(np.eye(4), number)
     assert np.max(np.abs(U @ n_tot - n_tot @ U)) < 1e-12
 
 
@@ -233,29 +196,6 @@ def test_coherent_state_single_level_cutoff():
     assert abs(deficit - (1.0 - np.exp(-1.0))) < 1e-12
     v, _ = coherent_state(0.5, 15)
     assert abs(v.amplitudes[1] / v.amplitudes[0] - 0.5) < 1e-12
-
-
-def test_truncated_coherent_state_complex_amplitude():
-    v = truncated_coherent_state(2j)
-    assert abs(v.amplitudes[0] - 1 / np.sqrt(5)) < 1e-15
-    assert abs(v.amplitudes[1] - 2j / np.sqrt(5)) < 1e-15
-
-
-def test_nqs_target_state_quarter_turns():
-    v = nqs_target_state(1, np.pi / 2)
-    assert abs(v.amplitudes[0]) < 1e-15
-    assert abs(v.amplitudes[1] + 1j) < 1e-15
-    v = nqs_target_state(2, np.pi / 8)
-    assert abs(v.amplitudes[0] - 1 / np.sqrt(2)) < 1e-15
-    assert abs(v.amplitudes[1] + 1j / np.sqrt(2)) < 1e-15
-
-
-def test_fidelity_orthogonal_and_mixed():
-    one = DensityMatrix(np.diag([0.0, 1.0]))
-    assert fidelity(FockVector([1.0, 0.0]), one) == 0.0
-    plus = FockVector(np.array([1.0, 1.0]) / np.sqrt(2))
-    maximally_mixed = DensityMatrix(np.eye(2) / 2)
-    assert abs(fidelity(plus, maximally_mixed) - 0.5) < 1e-15
 
 
 def test_beam_splitter_full_transmission_is_identity():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qscissors.fock import CutoffError, truncated_coherent_state
+from qscissors.fock import CutoffError
 from qscissors.lqs import (
     LqsParams,
     env_gram_oracle,
@@ -170,7 +170,7 @@ def test_projection_oracle_lossless_matches_two_level_form():
     for alpha in (0.2, 0.7, 1.0):
         out, prob = lqs_projection_oracle(alpha, t, r, cutoff=12)
         ideal = truncated_state_general_bs(alpha, t, r, t, r)
-        ov = abs(ideal.overlap(out.normalized()))
+        ov = abs(np.vdot(ideal.amplitudes, out.amplitudes))
         assert 1.0 - ov < 1e-10
         assert 0.0 < prob < 1.0
 
@@ -180,7 +180,7 @@ def test_projection_oracle_distinct_pair():
     t2, r2 = math.sqrt(0.3), 1j * math.sqrt(0.7)
     out, _ = lqs_projection_oracle(0.9, t1, r1, cutoff=12, t2=t2, r2=r2)
     ideal = truncated_state_general_bs(0.9, t1, r1, t2, r2)
-    assert 1.0 - abs(ideal.overlap(out.normalized())) < 1e-10
+    assert 1.0 - abs(np.vdot(ideal.amplitudes, out.amplitudes)) < 1e-10
 
 
 def test_projection_oracle_two_level_output_and_probability():
@@ -205,8 +205,8 @@ def test_general_bs_identical_pair_is_truncated_coherent():
     t, r = math.sqrt(0.35), 1j * math.sqrt(0.65)
     for alpha in (0.4, 1.3, 0.5 - 0.8j):
         out = truncated_state_general_bs(alpha, t, r, t, r)
-        ideal = truncated_coherent_state(alpha)
-        assert 1.0 - abs(ideal.overlap(out)) < 1e-14
+        ideal = np.array([1.0, alpha]) / np.sqrt(1 + abs(alpha) ** 2)  # (|0> + alpha|1>)/N
+        assert 1.0 - abs(np.vdot(ideal, out.amplitudes)) < 1e-14
 
 
 def test_general_bs_reflectionless_first_splitter():
@@ -218,7 +218,7 @@ def test_general_bs_reflectionless_first_splitter():
     assert abs(abs(out.amplitudes[1]) - 1.0) < 1e-15
     sim, _ = lqs_projection_oracle(0.7, 1.0, 0.0, cutoff=12,
                                    t2=math.sqrt(0.6), r2=1j * math.sqrt(0.4))
-    assert 1.0 - abs(out.overlap(sim.normalized())) < 1e-10
+    assert 1.0 - abs(np.vdot(out.amplitudes, sim.amplitudes)) < 1e-10
 
 
 def test_unsimplified_small_alpha_limit():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.constants import hbar, k as k_B
 from scipy.linalg import expm
 
 from qscissors import nqs
@@ -15,8 +14,6 @@ from qscissors.fock import (
     DensityMatrix,
     annihilation_matrix,
     coherent_state,
-    fidelity,
-    nqs_target_state,
 )
 from qscissors.nqs import (
     NqsParams,
@@ -27,7 +24,6 @@ from qscissors.nqs import (
     apply_kick,
     evolve_kicked,
     kick_unitary,
-    nbar_from_temperature,
     truncation_fidelity,
     unitary_kerr_step,
 )
@@ -56,6 +52,22 @@ def test_params_rate_resolution():
         NqsParams(epsilon=0.1, kicks=5, cutoff=0)
     with pytest.warns(UserWarning):
         NqsParams(epsilon=0.5, kicks=1, cutoff=10)
+
+
+def test_epsilon_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="not small") as caught:
+        NqsParams(epsilon=0.5, kicks=1, cutoff=10)
+    assert caught[0].filename == __file__  # not the dataclass's generated __init__
+
+
+def test_kick_cutoff_error_when_trace_leaks():
+    # a strong kick carries the vacuum far past cutoff 20: the kept trace
+    # is about 1e-22, which the kick's trace-drift guard refuses
+    rho = DensityMatrix(np.diag([1.0] + [0.0] * 20))
+    with pytest.raises(CutoffError, match="^kick: trace drifted"):
+        apply_kick(rho, kick_unitary(10.0, 20))
+    with pytest.warns(UserWarning), pytest.raises(CutoffError, match="^kick: trace drifted"):
+        evolve_kicked(NqsParams(epsilon=10.0, kicks=1, cutoff=20))
 
 
 def test_kerr_step_phases():
@@ -182,7 +194,8 @@ def test_apply_kick_dimension_mismatch():
 def test_truncation_fidelity_matches_target_overlap():
     rho = _random_density(16, 8)
     for k in (0, 1, 4):
-        want = fidelity(nqs_target_state(k, 0.13), rho)
+        psi = np.array([np.cos(k * 0.13), -1j * np.sin(k * 0.13)])  # k-kick target
+        want = np.vdot(psi, rho.elements[:2, :2] @ psi).real
         assert abs(truncation_fidelity(rho, k, 0.13) - want) < 1e-12
 
 
@@ -231,29 +244,6 @@ def test_evolve_kicked_thermal_cutoff_warning():
     p = NqsParams(epsilon=0.05, kicks=1, cutoff=12, lam=0.05, nbar=0.2)
     with pytest.warns(UserWarning):
         evolve_kicked(p)
-
-
-def test_nbar_from_temperature():
-    assert nbar_from_temperature(1e10, 0.0) == 0.0
-    # high-temperature limit nbar ~ k_B T / (hbar omega)
-    omega, T = 2 * np.pi * 5e9, 10.0
-    classical = k_B * T / (hbar * omega)
-    got = nbar_from_temperature(omega, T)
-    assert got == pytest.approx(classical - 0.5, rel=1e-2)
-    # deep quantum regime underflows to zero occupation
-    assert nbar_from_temperature(1e15, 1e-3) == 0.0
-    with pytest.raises(ValueError):
-        nbar_from_temperature(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        nbar_from_temperature(1e9, -1.0)
-
-
-def test_nbar_specific_ratios():
-    omega = 2 * np.pi * 1e9
-    T = hbar * omega / (k_B * np.log(2))  # excitation gap = k_B T ln 2
-    assert nbar_from_temperature(omega, T) == pytest.approx(1.0, abs=1e-12)
-    T = hbar * omega / k_B  # gap exactly k_B T
-    assert nbar_from_temperature(omega, T) == pytest.approx(1 / (np.e - 1), abs=1e-12)
 
 
 def test_kerr_step_qubit_block_frozen():
@@ -337,8 +327,7 @@ def _zero_t_propagator_loop(x, size, lam, tau):
 
 
 def _thermal_propagator_loop(x, size, lam, nbar, tau):
-    co = damping_coefficients(x, lam, nbar, tau)
-    E, g = co.E, co.g_bar
+    E, g = damping_coefficients(x, lam, nbar, tau)
     q = nbar / (nbar + 1)
     w = q * g * g
     E2 = E * E

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy.special import comb, genlaguerre
 
 from qscissors.specfun import (
+    _ln_factorials,
     damping_coefficients,
     laguerre_assoc,
-    ln_factorial,
     sqrt_binomial_ratio,
 )
 
@@ -30,10 +30,10 @@ def test_laguerre_matches_scipy():
 
 
 def test_ln_factorial():
+    table = _ln_factorials(20)
+    assert table.shape == (21,) and not table.flags.writeable
     for n in (0, 1, 5, 20):
-        assert abs(ln_factorial(n) - math.log(math.factorial(n))) < 1e-12
-    with pytest.raises(ValueError):
-        ln_factorial(-1)
+        assert abs(table[n] - math.log(math.factorial(n))) < 1e-12
 
 
 def test_sqrt_binomial_ratio_matches_comb():
@@ -80,21 +80,14 @@ def test_laguerre_arrays_match_scalar_calls():
             laguerre_assoc(*bad, x)
 
 
-def test_damping_coefficients_delta_branch():
-    co = damping_coefficients(3, 0.2, 0.4, 1.7)
-    target = co.omega**2 - 4 * 0.4 * 1.4
-    assert abs(co.delta**2 - target) < 1e-12 * abs(target)
-    assert co.delta.real >= 0  # principal branch
-
-
 def test_damping_coefficients_zero_temperature_reduction():
     # at nbar = 0: E = e^{-t_x} and g_bar = (1 - e^{-2 t_x}) / omega
     lam, tau, x = 0.3, 1.1, 2
-    co = damping_coefficients(x, lam, 0.0, tau)
+    E, g_bar = damping_coefficients(x, lam, 0.0, tau)
     lx = lam + 1j * x
-    assert abs(co.E - np.exp(-lx * tau / 2)) < 1e-12
+    assert abs(E - np.exp(-lx * tau / 2)) < 1e-12
     g_zero = lam * (1 - np.exp(-lx * tau)) / lx
-    assert abs(co.g_bar - g_zero) < 1e-12
+    assert abs(g_bar - g_zero) < 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -104,27 +97,40 @@ def test_damping_coefficients_match_direct_form(x, lam, nbar, log_tau):
     # one formula from t_x = 0 up: log-uniform tau puts many draws at small
     # |t_x|, where 1 - e^{-2 t_x} cancels unless it goes through expm1
     tau = 10.0**log_tau
-    co = damping_coefficients(x, lam, nbar, tau)
+    got_E, got_g = damping_coefficients(x, lam, nbar, tau)
     # direct evaluation with unguarded sinh/cosh/coth
     omega = 1 + 2 * nbar + 1j * x / lam
     delta = np.sqrt(complex(omega**2 - 4 * nbar * (nbar + 1)))
     t_x = lam * delta * tau / 2
     E = delta / (omega * np.sinh(t_x) + delta * np.cosh(t_x))
     g = 2 * (nbar + 1) / (omega + delta * np.cosh(t_x) / np.sinh(t_x))
-    assert abs(co.E - E) <= 1e-13 * abs(E)
-    assert abs(co.g_bar - g) <= 1e-13 * abs(g)
+    assert abs(got_E - E) <= 1e-13 * abs(E)
+    assert abs(got_g - g) <= 1e-13 * abs(g)
 
 
 def test_damping_coefficients_at_zero_time():
-    co = damping_coefficients(0, 0.5, 0.0, 0.0)
-    assert co.E == 1.0
-    assert co.g_bar == 0.0
+    E, g_bar = damping_coefficients(0, 0.5, 0.0, 0.0)
+    assert E == 1.0
+    assert g_bar == 0.0
 
 
 def test_damping_coefficients_large_time_no_overflow():
-    co = damping_coefficients(5, 0.4, 0.6, 500.0)
-    assert np.isfinite(co.E) and np.isfinite(co.g_bar)
-    assert abs(co.E) < 1.0  # decays, never grows
+    E, g_bar = damping_coefficients(5, 0.4, 0.6, 500.0)
+    assert np.isfinite(E) and np.isfinite(g_bar)
+    assert abs(E) < 1.0  # decays, never grows
+
+
+@pytest.mark.parametrize("nbar", [0.5, 1e3, 1e10, 1e160])
+def test_damping_coefficients_diagonal_at_any_nbar(nbar):
+    # x = 0: Omega^2 - 4 nbar (nbar + 1) is exactly 1, so Delta = 1 and, with
+    # s = 1 - e^{-lam tau}, E = e^{-lam tau/2}/(1 + nbar s) and
+    # g_bar = (nbar + 1) s/(1 + nbar s); the expanded form of Delta^2 keeps
+    # this where Omega^2 alone would cancel or overflow
+    lam, tau = 0.1, 1.0
+    s = -math.expm1(-lam * tau)
+    E, g_bar = damping_coefficients(0, lam, nbar, tau)
+    assert abs(E - math.exp(-lam * tau / 2) / (1 + nbar * s)) <= 1e-14 * abs(E)
+    assert abs(g_bar - (nbar + 1) * s / (1 + nbar * s)) <= 1e-14 * abs(g_bar)
 
 
 def test_damping_coefficients_rejects_bad_input():
@@ -150,8 +156,6 @@ def test_damping_coefficients_diagonal_zero_temperature():
     # x = 0, nbar = 0: Omega = Delta = 1, so E and g_bar collapse to the
     # bare amplitude-decay pair e^{-lam tau/2} and 1 - e^{-lam tau}
     lam, tau = 0.35, 1.4
-    co = damping_coefficients(0, lam, 0.0, tau)
-    assert abs(co.omega - 1.0) < 1e-15
-    assert abs(co.delta - 1.0) < 1e-15
-    assert abs(co.E - math.exp(-lam * tau / 2)) < 1e-13
-    assert abs(co.g_bar - (1 - math.exp(-lam * tau))) < 1e-13
+    E, g_bar = damping_coefficients(0, lam, 0.0, tau)
+    assert abs(E - math.exp(-lam * tau / 2)) < 1e-13
+    assert abs(g_bar - (1 - math.exp(-lam * tau))) < 1e-13

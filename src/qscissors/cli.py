@@ -27,7 +27,7 @@ from . import __version__
 from .fock import CutoffError
 from .lqs import LqsParams, fidelity_closed_form, fidelity_ppb
 from .nqs import NqsParams, evolve_kicked
-from .verify import SUITES, run_suites
+from .verify import SUITES
 
 LQS_COLUMNS = ("alpha_abs", "eta", "gamma_bs", "r_sq", "F_closed", "F_ppb")
 NQS_COLUMNS = (
@@ -97,7 +97,8 @@ def _build_parser():
     common(p_nqs)
 
     p_ver = sub.add_parser("verify", help="run oracle-equivalence suites", allow_abbrev=False)
-    p_ver.add_argument("--suite", default=None, help=f"one of: {', '.join(SUITES)} (default: all)")
+    p_ver.add_argument("--suite", choices=tuple(SUITES), default=None,
+                       help="one suite (default: all)")
     p_ver.add_argument("--seed", type=parse_seed, default=1234, help="seed for randomized draws")
     common(p_ver)
     return ap, sub.choices
@@ -156,7 +157,7 @@ def _check_out(path):
 def _emit(rows, columns, fmt, meta, out_path):
     if fmt == "json":
         doc = {"meta": meta, "rows": [dict(zip(columns, r)) for r in rows]}
-        text = json.dumps(doc, indent=2, sort_keys=True, default=_fmt_cell) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
         w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
@@ -255,14 +256,9 @@ def cmd_nqs(args):
 
 
 def cmd_verify(args):
-    names = [args.suite] if args.suite else None
     if args.out:
         _check_out(args.out)
-    try:
-        results = run_suites(names, seed=args.seed)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    results = [SUITES[name](args.seed) for name in ([args.suite] if args.suite else SUITES)]
     rows = [(r.name, r.passed, r.max_dev, r.tolerance, r.detail) for r in results]
     meta = {"command": "verify", "version": __version__, "seed": args.seed,
             "suites": [r.name for r in results]}
@@ -293,7 +289,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CutoffError as exc:
+    except (CutoffError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -196,18 +196,16 @@ def annihilation_matrix(cutoff):
     return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), 1).astype(complex)
 
 
-def beam_splitter_unitary(t, r, mode_pair, dims):
-    """Beam-splitter unitary on the two modes of `mode_pair`.
+def beam_splitter_unitary(t, r, d_i, d_j):
+    """Beam-splitter unitary on two modes i and j of dimensions d_i and d_j.
 
     Exponential of the bilinear generator phi a_i^dag a_j - phi^* a_i a_j^dag
     with |phi| = arccos(t), phased so that U^dag a_i U = t a_i + r^* a_j.
     The pair must be lossless: |t|^2 + |r|^2 = 1.
 
-    `dims` lists the dimensions of all modes; the returned matrix acts on
-    the two modes of the pair alone, indexed like np.kron of the lower-
-    numbered mode with the higher-numbered one.  The truncated generator
-    conserves n_i + n_j, so it is exponentiated one block of fixed total
-    photon number at a time.
+    The returned matrix is indexed like np.kron of mode i with mode j.  The
+    truncated generator conserves n_i + n_j, so it is exponentiated one
+    block of fixed total photon number at a time.
     """
     from scipy.linalg import expm  # deferred: scipy.linalg dominates import time
 
@@ -215,23 +213,17 @@ def beam_splitter_unitary(t, r, mode_pair, dims):
     r = complex(r)
     if abs(t * t + abs(r) ** 2 - 1.0) > NORM_TOL:
         raise ValueError(f"not unitary: t^2 + |r|^2 = {t * t + abs(r) ** 2}")
-    i, j = mode_pair
-    di, dj = dims[i], dims[j]
     if abs(r) == 0:
-        return np.eye(di * dj, dtype=complex)
+        return np.eye(d_i * d_j, dtype=complex)
     theta = np.arccos(min(t, 1.0))
     phi = (r.conjugate() / abs(r)) * theta
-    # flat[n_i, n_j]: pair-space index of |n_i, n_j>
-    flat = np.arange(di * dj).reshape((di, dj) if i < j else (dj, di))
-    if i > j:
-        flat = flat.T
-    u = np.zeros((di * dj, di * dj), dtype=complex)
-    for total in range(di + dj - 1):
-        k = np.arange(max(0, total - dj + 1), min(total, di - 1) + 1)
+    u = np.zeros((d_i * d_j, d_i * d_j), dtype=complex)
+    for total in range(d_i + d_j - 1):
+        k = np.arange(max(0, total - d_j + 1), min(total, d_i - 1) + 1)
         # block basis |k, total-k>: a_i^dag a_j raises k by one with weight
         # sqrt((k+1)(total-k)), a_i a_j^dag lowers it with the same weight
         w = np.sqrt((k[:-1] + 1) * (total - k[:-1]))
         gen = np.diag(phi * w, -1) - np.diag(np.conj(phi) * w, 1)
-        idx = flat[k, total - k]
+        idx = k * d_j + total - k  # pair-space index of |k, total-k>
         u[np.ix_(idx, idx)] = expm(gen)
     return u

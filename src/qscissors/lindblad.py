@@ -34,36 +34,37 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
 
 
-def lindblad_rhs(rho, kappa, gamma, nbar):
-    """Right-hand side of the kicked-Kerr master equation.
+def lindblad_rhs(rho, lam, nbar):
+    """Right-hand side of the kicked-Kerr master equation in scaled time.
 
-    drho/dt = -i(kappa/2)[(a^dag)^2 a^2, rho]
-              - (gamma/2)([a^dag, a rho] + h.c.)
-              + (gamma nbar/2)([a^dag, [rho, a]] + h.c.)
+    drho/dtau = -(i/2)[(a^dag)^2 a^2, rho]
+                - (lam/2)([a^dag, a rho] + h.c.)
+                + (lam nbar/2)([a^dag, [rho, a]] + h.c.)
 
-    assembled literally from ladder matrices.  On the infinite space the
-    thermal double commutator is its own h.c.; on the truncated space only
-    the symmetrized form maps Hermitian rho to Hermitian output, so it is
-    taken like the damping term.  The generator then equals the standard
-    Lindblad form with down-rate gamma(nbar+1) and up-rate gamma*nbar on
-    every level, cutoff included; the test suite checks that identity.
+    with tau = kappa t and lam = gamma/kappa, assembled literally from
+    ladder matrices.  On the infinite space the thermal double commutator
+    is its own h.c.; on the truncated space only the symmetrized form maps
+    Hermitian rho to Hermitian output, so it is taken like the damping
+    term.  The generator then equals the standard Lindblad form with
+    down-rate lam(nbar+1) and up-rate lam*nbar on every level, cutoff
+    included; the test suite checks that identity.
     """
     rho = np.asarray(rho, dtype=complex)
-    terms = _master_equation_terms(rho.shape[0], kappa, gamma, nbar)
+    terms = _master_equation_terms(rho.shape[0], lam, nbar)
     return sum(c * (A @ rho @ B) for c, A, B in terms)
 
 
-def _master_equation_terms(d, kappa, gamma, nbar):
+def _master_equation_terms(d, lam, nbar):
     """The master equation on d levels as (c, A, B) terms, each c A rho B."""
     a, ad, kerr, n_op, a_ad, eye = _ladder_products(d)
-    terms = [(-0.5j * kappa, kerr, eye), (0.5j * kappa, eye, kerr),
+    terms = [(-0.5j, kerr, eye), (0.5j, eye, kerr),
              # [a^dag, a rho] + h.c. for Hermitian rho reduces to
              # a^dag a rho + rho a^dag a - 2 a rho a^dag
-             (-0.5 * gamma, n_op, eye), (-0.5 * gamma, eye, n_op), (gamma, a, ad)]
+             (-0.5 * lam, n_op, eye), (-0.5 * lam, eye, n_op), (lam, a, ad)]
     if nbar > 0:
         # ([a^dag, [rho, a]] + h.c.)/2 = a^dag rho a + a rho a^dag
         #   - (a^dag a + a a^dag) rho/2 - rho (a^dag a + a a^dag)/2
-        g = gamma * nbar
+        g = lam * nbar
         terms += [(g, ad, a), (g, a, ad), (-0.5 * g, n_op, eye), (-0.5 * g, a_ad, eye),
                   (-0.5 * g, eye, n_op), (-0.5 * g, eye, a_ad)]
     return terms
@@ -81,7 +82,7 @@ def _ladder_products(d):
 
 
 def _generator_blocks(d, lam, nbar):
-    """Per-diagonal blocks of the master-equation generator at kappa = 1.
+    """Per-diagonal blocks of the master-equation generator.
 
     On diagonal -x, v[j] = rho[j + x, j], the generator acts as
     L_x[j, j'] = sum over terms of c A[j + x, j' + x] B[j', j], of size
@@ -92,7 +93,7 @@ def _generator_blocks(d, lam, nbar):
     rows = k[:, None, None] + k[None, :, None]  # x + j
     cols = k[:, None, None] + k[None, None, :]  # x + j'
     blocks = np.zeros((d, d, d), dtype=complex)
-    for c, A, B in _master_equation_terms(d, 1.0, lam, nbar):
+    for c, A, B in _master_equation_terms(d, lam, nbar):
         blocks += c * np.pad(A, (0, d))[rows, cols] * B.T
     return blocks
 

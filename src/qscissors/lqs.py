@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import CutoffError, FockVector, beam_splitter_unitary, coherent_amplitudes, coherent_state
+from .fock import FockVector, beam_splitter_unitary, coherent_amplitudes, coherent_state
 
 _COEF_TOL = 1e-10
 _ALPHA_MAX = math.sqrt(sys.float_info.max)  # largest |alpha| whose square is finite
@@ -142,29 +142,33 @@ def _herald_bracket(p, a2):
 
 
 def fidelity_ppb(alpha, eta):
-    """Projection-synthesis fidelity for lossless BSs at 50/50 split."""
-    a2 = abs(alpha) ** 2
-    return 1.0 - a2**2 * (1.0 - eta) / ((1.0 + a2) * (1.0 + a2 * (2.0 - eta)))
+    """Projection-synthesis fidelity for lossless BSs at 50/50 split.
+
+    1 - (1 - eta) |alpha|^4 / ((1 + |alpha|^2)(1 + (2 - eta)|alpha|^2)),
+    written in u = |alpha|^2/(1 + |alpha|^2) as 1 - (1 - eta) u^2/(1 +
+    (1 - eta) u), which stays finite for every |alpha|^2 a float holds.
+    """
+    u = abs(alpha) ** 2
+    u /= 1.0 + u
+    loss = (1.0 - eta) * u
+    return 1.0 - loss * u / (1.0 + loss)
 
 
 def _poisson_tail_bound(b2, cutoff):
     """Upper bound on sum_{k > cutoff} b2^k/k!, as a share of e^{b2}.
 
-    Past the Poisson peak (cutoff + 2 > b2) successive terms shrink by at
-    least b2/(cutoff + 2), so the tail is below a geometric series started
-    at its first term; below the peak no such bound exists and the result
-    is inf.
+    Valid past the Poisson peak, cutoff + 2 > b2, where successive terms
+    shrink by at least b2/(cutoff + 2): the tail is below a geometric
+    series started at its first term.
     """
     if b2 == 0:
         return 0.0
     ratio = b2 / (cutoff + 2)
-    if ratio >= 1.0:
-        return math.inf
     first = math.exp((cutoff + 1) * math.log(b2) - b2 - math.lgamma(cutoff + 2))
     return first / (1.0 - ratio)
 
 
-def env_gram_oracle(p, env_cutoff=None):
+def env_gram_oracle(p):
     """Normalization and fidelity from explicit environment modes.
 
     The Langevin noise operators of the lossy-BS/inefficient-detector chain
@@ -176,28 +180,24 @@ def env_gram_oracle(p, env_cutoff=None):
     normalization follows from <psi|psi> = 1, and the fidelity from the
     squared overlap with the ideal truncated state.
 
-    Returns (N, F).  env_cutoff bounds the coherent-like environment mode;
-    when omitted it is chosen so the neglected tail is below 1e-12 of
-    e^{x|alpha|^2}.  That mode carries exp(beta c^dag)|0>, beta = alpha
-    sqrt(x), whose squared norm e^{x|alpha|^2} overflows a float from
-    x|alpha|^2 of about 709; it is built scaled by e^{-x|alpha|^2/2} (the
-    coherent-state components of beta) and the scale is put back into N
-    only.  Raises FloatingPointError where N itself falls below the normal
-    float range, from x|alpha|^2 of about 1400.
+    Returns (N, F).  The coherent-like environment mode is cut off where
+    the neglected tail is below 1e-12 of e^{x|alpha|^2}; the search starts
+    past the Poisson peak, so the tail bound holds at every cutoff it
+    tries.  That mode carries exp(beta c^dag)|0>, beta = alpha sqrt(x),
+    whose squared norm e^{x|alpha|^2} overflows a float from x|alpha|^2 of
+    about 709; it is built scaled by e^{-x|alpha|^2/2} (the coherent-state
+    components of beta) and the scale is put back into N only.  Raises
+    FloatingPointError where N itself falls below the normal float range,
+    from x|alpha|^2 of about 1400.
     """
     alpha = complex(p.alpha)
     a2 = abs(alpha) ** 2
     x, G = p.x, p.gamma_bs
     beta = alpha * math.sqrt(x)
     b2 = abs(beta) ** 2
-    if env_cutoff is None:
-        env_cutoff = max(8, math.ceil(b2))
-        while _poisson_tail_bound(b2, env_cutoff) > 1e-12:
-            env_cutoff += 1
-    tail = _poisson_tail_bound(b2, env_cutoff)
-    if tail > 1e-10:
-        raise CutoffError(f"env_cutoff {env_cutoff} leaves tail {tail:.3e} of e^(x|a|^2), "
-                          f"x|a|^2 = {b2:.6g}")
+    env_cutoff = max(8, math.ceil(b2))
+    while _poisson_tail_bound(b2, env_cutoff) > 1e-12:
+        env_cutoff += 1
     v3 = coherent_amplitudes(beta, env_cutoff + 1)
     g0 = np.array([1.0, 0.0], dtype=complex)
     g1 = np.array([0.0, 1.0], dtype=complex)
@@ -232,12 +232,11 @@ def lqs_projection_oracle(alpha, t, r, cutoff, t2=None, r2=None):
     if t2 is None:
         t2, r2 = t, r
     d = cutoff + 2
-    dims = (2, d, d)
     coh, _ = coherent_state(alpha, cutoff + 1)
-    psi = np.zeros(dims, dtype=complex)
+    psi = np.zeros((2, d, d), dtype=complex)
     psi[1, 0, :] = coh.amplitudes
-    u1 = beam_splitter_unitary(t, r, (0, 1), dims).reshape(2, d, 2, d)
-    u2 = beam_splitter_unitary(t2, r2, (1, 2), dims).reshape(d, d, d, d)
+    u1 = beam_splitter_unitary(t, r, 2, d).reshape(2, d, 2, d)
+    u2 = beam_splitter_unitary(t2, r2, d, d).reshape(d, d, d, d)
     psi = np.tensordot(u1, psi, axes=([2, 3], [0, 1]))
     psi = np.tensordot(psi, u2, axes=([1, 2], [2, 3]))
     cond = psi[:, 1, 0]

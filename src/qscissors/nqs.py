@@ -200,11 +200,19 @@ def _propagator_family(dim, lam, nbar, tau, kind):
     P[j, j-k] = q^k P[j-k, j] with q = nbar/(nbar+1).  Returns a read-only
     (dim, dim, dim) stack whose block x acts on the entries rho[j + x, j]
     and is zero beyond size dim - x.
+
+    Raises FloatingPointError if an entry is not finite, which happens
+    where lam is far outside the scale of the Kerr coupling.
     """
-    if kind == "zero":
-        upper, q = _zero_t_upper(dim, lam, tau), 0.0
-    else:
-        upper, q = _thermal_upper(dim, lam, nbar, tau), nbar / (nbar + 1)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite entry
+        if kind == "zero":
+            upper, q = _zero_t_upper(dim, lam, tau), 0.0
+        else:
+            upper, q = _thermal_upper(dim, lam, nbar, tau), nbar / (nbar + 1)
+    # the lower entries are q^l < 1 times these, so they are finite too
+    if not np.all(np.isfinite(upper)):
+        raise FloatingPointError(f"{kind} propagator family at lambda={lam:g}, nbar={nbar:g}, "
+                                 f"tau={tau:g} has non-finite entries")
     ix = _family_indices(dim)
     col = ix.m + ix.l
     stack = np.zeros((dim, dim, dim), dtype=complex)
@@ -219,8 +227,12 @@ def _propagator_family(dim, lam, nbar, tau, kind):
 def _damped(rho, lam, nbar, tau, kind):
     """Array core of both damped steps; kind picks the propagator family.
 
-    Raises CutoffError if the step moves the trace by more than LEAKAGE_TOL.
+    lam = 0 is the lossless Kerr step, at any nbar: with no coupling the
+    reservoir does nothing.  Raises CutoffError if the step moves the trace
+    by more than LEAKAGE_TOL.
     """
+    if lam == 0:
+        return _kerr(rho, tau)
     stack = _propagator_family(rho.shape[0], float(lam), float(nbar), float(tau), kind)
     out = _apply_diagonal_propagators(rho, stack)
     check_trace_drift(rho, out, "zero-T step" if kind == "zero" else "thermal step")
@@ -237,17 +249,16 @@ def _kerr(rho, tau):
 def analytic_damped_step_thermal(rho_in, tau, p):
     """Exact damped-Kerr step at reservoir occupation nbar, duration tau (scaled).
 
-    Valid for lam > 0; lam = 0 is dispatched to the unitary Kerr step.
+    At lam = 0 it is the unitary Kerr step.
     """
-    if p.lam == 0:
-        return unitary_kerr_step(rho_in, tau)
     return DensityMatrix(_damped(rho_in.elements, p.lam, p.nbar, tau, "thermal"))
 
 
 def analytic_damped_step_zero_T(rho_in, tau, p):
-    """Exact damped-Kerr step for a zero-temperature reservoir."""
-    if p.lam == 0:
-        return unitary_kerr_step(rho_in, tau)
+    """Exact damped-Kerr step for a zero-temperature reservoir.
+
+    At lam = 0 it is the unitary Kerr step; nbar > 0 is refused at any lam.
+    """
     if p.nbar != 0:
         raise ValueError("zero-T step requires nbar = 0")
     return DensityMatrix(_damped(rho_in.elements, p.lam, 0.0, tau, "zero"))
@@ -265,7 +276,9 @@ def kick_unitary(eps, cutoff):
     L_min^{|n-m|}(eps^2); the lower triangle carries the same sign factor
     as the upper, giving the symmetry U_nm = (-1)^{n-m} U*_mn.  The lower
     triangle is evaluated at once over its index arrays, its Laguerre values
-    from one recurrence, and mirrored into the upper.
+    from one recurrence, and mirrored into the upper.  Raises
+    FloatingPointError if an element is not finite, which happens where eps
+    is far outside the weak-kick regime.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -274,12 +287,15 @@ def kick_unitary(eps, cutoff):
     lnf = _ln_factorials(d - 1)
     n, m = np.tril_indices(d)
     k = n - m
-    val = (
-        np.exp(-e2 / 2)
-        * np.exp(0.5 * (lnf[m] - lnf[n]))
-        * (-1j * eps) ** k
-        * laguerre_assoc(m, k, e2)
-    )
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite element
+        val = (
+            np.exp(-e2 / 2)
+            * np.exp(0.5 * (lnf[m] - lnf[n]))
+            * (-1j * eps) ** k
+            * laguerre_assoc(m, k, e2)
+        )
+    if not np.all(np.isfinite(val)):
+        raise FloatingPointError(f"kick matrix at epsilon={eps:g} has non-finite elements")
     U = np.zeros((d, d), dtype=complex)
     U[n, m] = val
     off = k > 0
@@ -322,13 +338,6 @@ def truncation_fidelity(rho, k, eps):
         + np.sin(th) ** 2 * el[1, 1].real
     )
     return min(max(float(f), 0.0), 1.0)
-
-
-def _free_step(rho, p):
-    """Array-level free evolution over one kick period: the step evolve_kicked takes."""
-    if p.lam == 0:
-        return _kerr(rho, p.tau_k)
-    return _damped(rho, p.lam, p.nbar, p.tau_k, "zero" if p.nbar == 0 else "thermal")
 
 
 def evolve_kicked(p, initial=None):
@@ -391,7 +400,7 @@ def evolve_kicked(p, initial=None):
     for k in range(1, p.kicks + 1):
         rho = _kick(rho, U)
         records.append(record((k - 1) * p.tau_k, k, DensityMatrix._trusted(rho)))
-        rho = _free_step(rho, p)
+        rho = _damped(rho, p.lam, p.nbar, p.tau_k, "zero" if p.nbar == 0 else "thermal")
         records.append(record(k * p.tau_k, k, DensityMatrix._trusted(rho)))
     DensityMatrix(rho)  # end-of-trajectory validation
     return records

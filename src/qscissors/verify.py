@@ -2,8 +2,9 @@
 
 Each suite pits a closed-form expression against an independent route to
 the same number (brute-force simulation, matrix exponential, RK4) and
-reports the worst deviation.  The command line's ``verify`` subcommand is
-a thin wrapper around ``run_suites``, and acceptance criteria 1-7 and 9
+reports the worst deviation.  Every suite takes the seed of its random
+draws (suites without draws ignore it).  The command line's ``verify``
+subcommand runs the suites of ``SUITES``, and acceptance criteria 1-7 and 9
 (``tests/test_acceptance.py``) read the rows of one ``qscissors verify``
 run rather than repeating the checks.
 """
@@ -54,17 +55,17 @@ def _random_lqs_params(rng):
     return lqs.LqsParams(alpha=alpha, eta=eta, gamma_bs=gamma_bs, r_mag=np.sqrt(r_sq))
 
 
-def suite_lqs_identity(seed=1234, draws=1000):
+def suite_lqs_identity(seed):
     """Unsimplified norm/overlap fidelity vs the simplified closed form."""
     rng = np.random.default_rng(seed)
     devs = []
-    for _ in range(draws):
+    for _ in range(1000):
         p = _random_lqs_params(rng)
         devs.append(abs(lqs.fidelity_unsimplified(p) - lqs.fidelity_closed_form(p)))
-    return _result("lqs-identity", [(devs, 1e-12)], f"{draws} random complex-alpha draws")
+    return _result("lqs-identity", [(devs, 1e-12)], "1000 random complex-alpha draws")
 
 
-def suite_lqs_ppb(seed=None):
+def suite_lqs_ppb(seed):
     """Closed form at Gamma=0, 50/50 split vs the projection-synthesis formula."""
     devs = []
     r = np.sqrt(0.5)
@@ -79,19 +80,19 @@ def suite_lqs_ppb(seed=None):
     return _result("lqs-ppb", [(devs, 1e-12)], "21x11 grid + unity at eta=1 for 22 alphas")
 
 
-def suite_lqs_gram(seed=1234, draws=100):
+def suite_lqs_gram(seed):
     """Environment-mode Gram oracle vs closed-form N and F."""
     rng = np.random.default_rng(seed)
     devs = []
-    for _ in range(draws):
+    for _ in range(100):
         p = _random_lqs_params(rng)
         n_oracle, f_oracle = lqs.env_gram_oracle(p)
         devs.append(abs(n_oracle - lqs.normalization_closed_form(p)))
         devs.append(abs(f_oracle - lqs.fidelity_closed_form(p)))
-    return _result("lqs-gram", [(devs, 1e-10)], f"{draws} random complex-alpha draws, N and F")
+    return _result("lqs-gram", [(devs, 1e-10)], "100 random complex-alpha draws, N and F")
 
 
-def suite_lqs_projection(seed=1234):
+def suite_lqs_projection(seed):
     """Full Fock-space pipeline vs the two-level closed form, amplitude by amplitude.
 
     50/50 splitters at four |alpha|, identical splitters with ten random
@@ -115,7 +116,7 @@ def suite_lqs_projection(seed=1234):
                    f"{len(cases)} cases, |alpha| <= 1, cutoff 15")
 
 
-def suite_nqs_limits(seed=1234):
+def suite_nqs_limits(seed):
     """Thermal solution at nbar=0 vs zero-T solution vs pure Kerr phases."""
     rng = np.random.default_rng(seed)
     rho = _random_density(rng, 16)
@@ -133,7 +134,7 @@ def suite_nqs_limits(seed=1234):
     )
 
 
-def suite_nqs_rk4(seed=None):
+def suite_nqs_rk4(seed):
     """Analytic damped steps vs fixed-step RK4 integration of the master equation."""
     dev_zero = []
     coh, _ = fock.coherent_state(0.6, 20)
@@ -157,7 +158,7 @@ def suite_nqs_rk4(seed=None):
     )
 
 
-def suite_nqs_kick(seed=None):
+def suite_nqs_kick(seed):
     """Closed-form kick matrix vs the exponentiated displacement generator."""
     from scipy.linalg import expm  # deferred: scipy.linalg dominates import time
 
@@ -191,15 +192,3 @@ SUITES = {
     "nqs-rk4": suite_nqs_rk4,
     "nqs-kick": suite_nqs_kick,
 }
-
-
-def run_suites(names=None, seed=1234):
-    """Run the named suites (all by default) and return their results."""
-    if names is None:
-        names = list(SUITES)
-    results = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-        results.append(SUITES[name](seed))
-    return results

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import qscissors
-from qscissors import nqs
+from qscissors import nqs, verify
 from qscissors.cli import main, parse_range
 
 
@@ -265,10 +265,11 @@ def test_abbreviated_flags_exit_2(capsys):
 
 
 def test_verify_unwritable_out_checked_before_suites(tmp_path, monkeypatch, capsys):
-    def run_suites(*args, **kwargs):
+    def suite(seed):
         raise AssertionError("suites ran before --out was checked")
 
-    monkeypatch.setattr("qscissors.cli.run_suites", run_suites)
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, suite)
     assert main(["verify", "--suite", "lqs-ppb", "--out", str(tmp_path)]) == 2
     out = capsys.readouterr()
     assert out.err.startswith("error: cannot write --out") and "PASS" not in out.err
@@ -321,20 +322,33 @@ def test_out_of_domain_inputs_exit_2(capsys, argv, field):
     assert caught == []
 
 
-@pytest.mark.parametrize("argv, what", [
-    (["nqs", "--epsilon", "10", "--kicks", "1", "--cutoff", "20"], "kick"),
-    (_NQS + ["--lambda", "0.1", "--nbar", "1e10"], "thermal step"),
-    (_NQS + ["--lambda", "0.1", "--nbar", "1e160"], "thermal step"),
+_ONE_KICK = ["nqs", "--kicks", "1", "--cutoff", "20"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(_ONE_KICK + ["--epsilon", "10"], "kick: trace drifted", id="argv0-kick"),
+    pytest.param(_NQS + ["--lambda", "0.1", "--nbar", "1e10"], "thermal step: trace drifted",
+                 id="argv1-thermal step"),
+    pytest.param(_NQS + ["--lambda", "0.1", "--nbar", "1e160"], "thermal step: trace drifted",
+                 id="argv2-thermal step"),
+    pytest.param(_ONE_KICK + ["--epsilon", "0.1", "--lambda", "1e-200", "--nbar", "0.1"],
+                 "thermal propagator family at lambda=1e-200", id="tiny-lambda"),
+    pytest.param(_ONE_KICK + ["--epsilon", "0.1", "--lambda", "1e300", "--nbar", "0.1"],
+                 "thermal propagator family at lambda=1e+300", id="huge-lambda"),
+    pytest.param(_ONE_KICK + ["--epsilon", "1e10"], "kick matrix at epsilon=1e+10",
+                 id="huge-epsilon"),
 ])
-def test_trace_loss_exits_1(capsys, argv, what):
-    # a kick or a thermal step that pushes the state past the cutoff is a
-    # numerical failure with one error line, never a traceback or a nan
+def test_trace_loss_exits_1(capsys, argv, message):
+    # a kick or a thermal step that pushes the state past the cutoff, or a
+    # propagator family or kick matrix with a non-finite entry, is a
+    # numerical failure with one error line: never a usage error, a
+    # traceback, a RuntimeWarning or a nan
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert _exit_code(argv) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith(f"error: {what}: trace drifted") and out.err.count("\n") == 1
+    assert out.err.startswith(f"error: {message}") and out.err.count("\n") == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -393,9 +407,8 @@ def test_verify_row_reports_worst_subcheck(monkeypatch, capsys):
 
 
 def test_verify_unknown_suite_exit_2(capsys):
-    rc = main(["verify", "--suite", "bogus"])
-    assert rc == 2
-    assert "unknown suite" in capsys.readouterr().err
+    assert _exit_code(["verify", "--suite", "bogus"]) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_csv_uses_crlf(tmp_path):

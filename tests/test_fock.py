@@ -117,7 +117,7 @@ def test_ladder_matrices():
 def test_beam_splitter_unitarity_and_number_conservation():
     dims = (4, 4)
     t = np.sqrt(0.6)
-    U = beam_splitter_unitary(t, 1j * np.sqrt(0.4), (0, 1), dims)
+    U = beam_splitter_unitary(t, 1j * np.sqrt(0.4), *dims)
     assert np.max(np.abs(U.conj().T @ U - np.eye(16))) < 1e-12
     number = np.diag(np.arange(4.0))
     n_tot = np.kron(number, np.eye(4)) + np.kron(np.eye(4), number)
@@ -126,7 +126,7 @@ def test_beam_splitter_unitarity_and_number_conservation():
 
 def test_beam_splitter_single_photon_split():
     t, rm = np.sqrt(0.7), np.sqrt(0.3)
-    U = beam_splitter_unitary(t, 1j * rm, (0, 1), (3, 3))
+    U = beam_splitter_unitary(t, 1j * rm, 3, 3)
     inp = np.zeros(9, dtype=complex)
     inp[3] = 1.0  # |1, 0>
     out = (U @ inp).reshape(3, 3)
@@ -140,7 +140,7 @@ def test_beam_splitter_heisenberg_action():
     dims = (d, d)
     t = np.sqrt(0.55)
     r = 1j * np.sqrt(0.45)
-    U = beam_splitter_unitary(t, r, (0, 1), dims)
+    U = beam_splitter_unitary(t, r, *dims)
     a = np.kron(annihilation_matrix(d - 1), np.eye(d))
     b = np.kron(np.eye(d), annihilation_matrix(d - 1))
     lhs = U.conj().T @ a @ U
@@ -163,28 +163,25 @@ def test_beam_splitter_heisenberg_action():
 def test_beam_splitter_blocks_equal_full_space_expm(t_sq, r_phase, d0, d1, swap):
     # the photon-number-block exponential must equal expm of the generator
     # assembled on the whole pair space from kron'd ladders
-    pair = (1, 0) if swap else (0, 1)
+    # both mode orders: the larger mode first or second
+    d_i, d_j = (d1, d0) if swap else (d0, d1)
     t = np.sqrt(t_sq)
     r = np.sqrt(1.0 - t_sq) * np.exp(1j * r_phase)
-    U = beam_splitter_unitary(t, r, pair, (d0, d1))
-    ladders = (np.kron(annihilation_matrix(d0 - 1), np.eye(d1)),
-               np.kron(np.eye(d0), annihilation_matrix(d1 - 1)))
-    ai, aj = ladders[pair[0]], ladders[pair[1]]
+    U = beam_splitter_unitary(t, r, d_i, d_j)
+    ai = np.kron(annihilation_matrix(d_i - 1), np.eye(d_j))
+    aj = np.kron(np.eye(d_i), annihilation_matrix(d_j - 1))
     phi = np.arccos(t) * (np.conj(r) / abs(r) if abs(r) > 0 else 1.0)
     want = expm(phi * (ai.conj().T @ aj) - np.conj(phi) * (ai @ aj.conj().T))
     assert np.max(np.abs(U - want)) < 1e-12
     eye = np.eye(d0 * d1)
     assert np.max(np.abs(U.conj().T @ U - eye)) < 1e-12
-    n_tot = ladders[0].conj().T @ ladders[0] + ladders[1].conj().T @ ladders[1]
+    n_tot = ai.conj().T @ ai + aj.conj().T @ aj
     assert np.max(np.abs(U @ n_tot - n_tot @ U)) < 1e-12
-    # a third, idle mode in dims leaves the pair's unitary as it is
-    U3 = beam_splitter_unitary(t, r, (pair[0] + 1, pair[1] + 1), (3, d0, d1))
-    assert np.array_equal(U3, U)
 
 
 def test_beam_splitter_rejects_lossy_pair():
     with pytest.raises(ValueError):
-        beam_splitter_unitary(0.9, 0.9j, (0, 1), (3, 3))
+        beam_splitter_unitary(0.9, 0.9j, 3, 3)
 
 
 def test_coherent_state_single_level_cutoff():
@@ -199,7 +196,7 @@ def test_coherent_state_single_level_cutoff():
 
 
 def test_beam_splitter_full_transmission_is_identity():
-    U = beam_splitter_unitary(1.0, 0.0, (0, 1), (3, 3))
+    U = beam_splitter_unitary(1.0, 0.0, 3, 3)
     assert np.array_equal(U, np.eye(9))
 
 

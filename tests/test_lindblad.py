@@ -43,10 +43,10 @@ def _rk4_run(rho, n_steps, h, lam, nbar):
     """Reference: the step-by-step RK4 loop that integrate evaluates exactly
     as one matrix power per diagonal."""
     for _ in range(n_steps):
-        k1 = lindblad_rhs(rho, 1.0, lam, nbar)
-        k2 = lindblad_rhs(rho + 0.5 * h * k1, 1.0, lam, nbar)
-        k3 = lindblad_rhs(rho + 0.5 * h * k2, 1.0, lam, nbar)
-        k4 = lindblad_rhs(rho + h * k3, 1.0, lam, nbar)
+        k1 = lindblad_rhs(rho, lam, nbar)
+        k2 = lindblad_rhs(rho + 0.5 * h * k1, lam, nbar)
+        k3 = lindblad_rhs(rho + 0.5 * h * k2, lam, nbar)
+        k4 = lindblad_rhs(rho + h * k3, lam, nbar)
         rho = rho + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().T)
     return rho
@@ -59,19 +59,19 @@ def test_config_validation():
 
 def test_rhs_equals_standard_lindblad_form():
     # the symmetrized double-commutator thermal term must equal the
-    # two-dissipator form gamma (nbar+1) D[a] + gamma nbar D[a^dag] with the
+    # two-dissipator form lam (nbar+1) D[a] + lam nbar D[a^dag] with the
     # Kerr commutator on every level, so the state fills the top levels too
     d = 9
     rho = _random_density(31, d)
     a = annihilation_matrix(d - 1)
     kerr = a.conj().T @ a.conj().T @ a @ a
-    for kappa, gamma, nbar in [(1.0, 0.3, 0.0), (1.0, 0.3, 0.7), (2.0, 0.05, 1.4)]:
+    for lam, nbar in [(0.3, 0.0), (0.3, 0.7), (0.025, 1.4)]:
         want = (
-            -0.5j * kappa * (kerr @ rho - rho @ kerr)
-            + gamma * (nbar + 1) * _dissipator(a, rho)
-            + gamma * nbar * _dissipator(a.conj().T, rho)
+            -0.5j * (kerr @ rho - rho @ kerr)
+            + lam * (nbar + 1) * _dissipator(a, rho)
+            + lam * nbar * _dissipator(a.conj().T, rho)
         )
-        got = lindblad_rhs(rho, kappa, gamma, nbar)
+        got = lindblad_rhs(rho, lam, nbar)
         assert np.max(np.abs(got - want)) < 1e-13
 
 
@@ -82,7 +82,7 @@ def test_rhs_keeps_each_diagonal(x):
     d = 10
     rng = np.random.default_rng(37 + x)
     v = rng.normal(size=d - abs(x)) + 1j * rng.normal(size=d - abs(x))
-    out = lindblad_rhs(np.diag(v, x), 1.0, 0.3, 0.6)
+    out = lindblad_rhs(np.diag(v, x), 0.3, 0.6)
     assert np.any(np.diagonal(out, x) != 0)
     assert np.all(out - np.diag(np.diagonal(out, x), x) == 0)
 
@@ -103,7 +103,7 @@ def test_generator_blocks_reproduce_rhs(d, lam, nbar, seed):
     for x in range(1, d):
         assert np.all(L[x, d - x:, :] == 0) and np.all(L[x, :, d - x:] == 0)
     got = _apply_diagonal_propagators(rho, L)
-    assert np.max(np.abs(got - lindblad_rhs(rho, 1.0, lam, nbar))) < 1e-13
+    assert np.max(np.abs(got - lindblad_rhs(rho, lam, nbar))) < 1e-13
 
 
 @pytest.mark.parametrize("seed, dim, tau, lam, nbar, want_steps", [
@@ -153,18 +153,18 @@ def test_rhs_cached_ladders_follow_the_dimension():
         ad = a.conj().T
         kerr = ad @ ad @ a @ a
         n_op = ad @ a
-        kappa, gamma, nbar = 1.3, 0.2, 0.4
-        want = (-0.5j * kappa * (kerr @ rho - rho @ kerr)
-                - 0.5 * gamma * (n_op @ rho + rho @ n_op - 2 * (a @ rho @ ad))
-                + gamma * nbar * (ad @ rho @ a - n_op @ rho - rho @ a @ ad + a @ rho @ ad))
-        got = lindblad_rhs(rho, kappa, gamma, nbar)
+        lam, nbar = 0.2, 0.4
+        want = (-0.5j * (kerr @ rho - rho @ kerr)
+                - 0.5 * lam * (n_op @ rho + rho @ n_op - 2 * (a @ rho @ ad))
+                + lam * nbar * (ad @ rho @ a - n_op @ rho - rho @ a @ ad + a @ rho @ ad))
+        got = lindblad_rhs(rho, lam, nbar)
         assert got.shape == (d, d)
         assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_rhs_traceless_and_hermiticity_preserving():
     rho = _random_density(32, 8)
-    out = lindblad_rhs(rho, 1.0, 0.2, 0.5)
+    out = lindblad_rhs(rho, 0.2, 0.5)
     assert abs(np.trace(out)) < 1e-13
     assert np.max(np.abs(out - out.conj().T)) < 1e-13
 
@@ -226,18 +226,17 @@ def test_minimum_step_count():
 def test_rhs_vacuum_stationary():
     rho = np.zeros((6, 6), dtype=complex)
     rho[0, 0] = 1.0
-    assert np.max(np.abs(lindblad_rhs(rho, 1.0, 0.4, 0.0))) < 1e-15
+    assert np.max(np.abs(lindblad_rhs(rho, 0.4, 0.0))) < 1e-15
 
 
 def test_rhs_single_photon_decay_rate():
-    # population leaves |1> at rate gamma and lands in |0>, Kerr term inert
-    gamma = 0.36
+    # population leaves |1> at rate lam and lands in |0>, Kerr term inert
     rho = np.zeros((6, 6), dtype=complex)
     rho[1, 1] = 1.0
-    for kappa in (0.0, 1.0, 3.2):
-        d = lindblad_rhs(rho, kappa, gamma, 0.0)
-        assert abs(d[1, 1].real + gamma) < 1e-14
-        assert abs(d[0, 0].real - gamma) < 1e-14
+    for lam in (0.36, 0.0125, 3.2):
+        d = lindblad_rhs(rho, lam, 0.0)
+        assert abs(d[1, 1].real + lam) < 1e-14
+        assert abs(d[0, 0].real - lam) < 1e-14
 
 
 def test_integrate_lossless_path_matches_kerr_phases():

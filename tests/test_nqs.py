@@ -119,10 +119,12 @@ def test_damped_step_dispatches_lambda_zero():
 
 
 def test_zero_T_step_rejects_thermal_params():
+    # at any lambda, lossless included: nbar > 0 is not a zero-T reservoir
     rho = _random_density(13, 6)
-    p = NqsParams(epsilon=0.1, kicks=1, cutoff=5, lam=0.1, nbar=0.5)
-    with pytest.raises(ValueError):
-        analytic_damped_step_zero_T(rho, 1.0, p)
+    for lam in (0.1, 0.0):
+        p = NqsParams(epsilon=0.1, kicks=1, cutoff=5, lam=lam, nbar=0.5)
+        with pytest.raises(ValueError, match="nbar = 0"):
+            analytic_damped_step_zero_T(rho, 1.0, p)
 
 
 def test_damped_step_trace_preserving_and_decaying():

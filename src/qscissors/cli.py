@@ -231,23 +231,18 @@ def cmd_lqs(args):
 
 
 def cmd_nqs(args):
-    req = {k: getattr(args, k) for k in ("epsilon", "kicks", "cutoff")}
-    missing = [k for k, v in req.items() if v is None]
+    kw = {k: getattr(args, k) for k in ("epsilon", "kicks", "cutoff", "lam", "nbar", "tau_k")
+          if getattr(args, k) is not None}
+    missing = [k for k in ("epsilon", "kicks", "cutoff") if k not in kw]
     if missing:
         raise ValueError(f"missing required nqs parameter(s): {', '.join(missing)}")
-    kw = dict(epsilon=req["epsilon"], kicks=req["kicks"], cutoff=req["cutoff"])
-    for k in ("lam", "nbar", "tau_k"):
-        if getattr(args, k) is not None:
-            kw[k] = getattr(args, k)
     p = NqsParams(**kw)
     if args.out:
         _check_out(args.out)
     records = evolve_kicked(p)
-    rows = []
-    for r in records:
-        el = r.rho.elements
-        rows.append((r.kick_index, r.tau, r.fidelity, r.trace, r.purity, r.mean_n,
-                     el[0, 0].real, el[0, 1].real, el[0, 1].imag, el[1, 1].real))
+    rows = [(r.kick_index, r.tau, r.fidelity, r.trace, r.purity, r.mean_n,
+             r.rho[0, 0].real, r.rho[0, 1].real, r.rho[0, 1].imag, r.rho[1, 1].real)
+            for r in records]
     meta = {"command": "nqs", "version": __version__, "format": args.fmt,
             "params": {"epsilon": p.epsilon, "lambda": p.lam, "nbar": p.nbar,
                        "tau_k": p.tau_k, "kicks": p.kicks, "cutoff": p.cutoff}}
@@ -289,8 +284,8 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CutoffError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CutoffError, FloatingPointError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

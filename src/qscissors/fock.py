@@ -36,10 +36,24 @@ def check_trace_drift(rho_in, rho_out, what):
     """Raise CutoffError if `what` moved the trace from rho_in to rho_out by
     more than LEAKAGE_TOL: trace-preserving evolution on a truncated space
     loses trace only by pushing population past the cutoff."""
-    drift = abs(float(np.trace(rho_out).real) - float(np.trace(rho_in).real))
+    drift = abs(float(_trace(rho_out)) - float(_trace(rho_in)))
     if not drift <= LEAKAGE_TOL:  # a nan drift fails too
         raise CutoffError(f"{what}: trace drifted by {drift:.3e} (tolerance "
                           f"{LEAKAGE_TOL:.0e}); the state reaches the cutoff, enlarge it")
+
+
+# Re tr rho, Re tr rho^2 and sum_n n Re rho_nn, one formula each, of a (d, d)
+# array or of each array in a (..., d, d) stack
+def _trace(rho):
+    return np.trace(rho, axis1=-2, axis2=-1).real
+
+
+def _purity(rho):
+    return np.einsum("...ij,...ji->...", rho, rho).real
+
+
+def _mean_n(rho):
+    return np.einsum("...ii,i->...", rho.real, np.arange(rho.shape[-1], dtype=float))
 
 
 @functools.lru_cache(maxsize=8)
@@ -109,11 +123,7 @@ class DensityMatrix:
     """Mixed state of a single mode; validated Hermitian and positive.
 
     The constructor checks squareness, Hermiticity (HERM_TOL) and the
-    smallest eigenvalue (EIG_TOL).  DensityMatrix._trusted wraps an array
-    without those checks.  It is only for validated states pushed through
-    CPTP maps whose output is Hermitian by construction, inside a routine
-    that validates its final state (nqs.evolve_kicked); everywhere else,
-    use the constructor.
+    smallest eigenvalue (EIG_TOL).
     """
 
     def __init__(self, elements):
@@ -128,27 +138,20 @@ class DensityMatrix:
             raise ValueError(f"negative eigenvalue {evmin:.3e}")
         self.elements = rho
 
-    @classmethod
-    def _trusted(cls, elements):
-        """Wrap a complex square array as a DensityMatrix without checking it."""
-        rho = object.__new__(cls)
-        rho.elements = elements
-        return rho
-
     @property
     def dim(self):
         return self.elements.shape[0]
 
     @property
     def trace(self):
-        return float(np.trace(self.elements).real)
+        return float(_trace(self.elements))
 
     @property
     def purity(self):
-        return float(np.trace(self.elements @ self.elements).real)
+        return float(_purity(self.elements))
 
     def mean_photon_number(self):
-        return float(np.dot(np.arange(self.dim), np.diag(self.elements).real))
+        return float(_mean_n(self.elements))
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, trace={self.trace:.6f})"

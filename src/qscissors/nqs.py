@@ -16,8 +16,8 @@ that shrinks as k passes each entry's m.  The kick matrix takes every
 Laguerre value from one recurrence.  A damped step is one batched
 matrix-vector product over all diagonals.
 
-Each step and the kick have one array-in/array-out core (_damped, _kerr,
-_kick); the public step functions wrap a core's output in a validated
+Each step, the kick and the fidelity have one array core (_damped, _kerr,
+_kick, _fidelity); the public functions wrap them around a validated
 DensityMatrix.  evolve_kicked runs the cores directly and validates the
 state twice, at the start and at the end of the trajectory: each damped
 step and each kick keeps its trace-drift guard, every core returns a
@@ -33,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import DensityMatrix, _apply_diagonal_propagators, check_trace_drift
+from .fock import (DensityMatrix, _apply_diagonal_propagators, _mean_n, _purity, _trace,
+                   check_trace_drift)
 from .specfun import _ln_factorials, damping_coefficients, laguerre_assoc, sqrt_binomial_ratio
 
 
@@ -46,6 +47,11 @@ class NqsParams:
     on lam and nbar; the kick period tau_k is a scaled time too.  epsilon,
     tau_k, lam and nbar must be finite, tau_k positive and the others
     nonnegative; kicks >= 0 and cutoff >= 1.
+
+    Two corners of that domain fail on the thermal path (nbar > 0) with
+    FloatingPointError, "non-finite entries": lam below about cutoff/1.3e154
+    (damping_coefficients squares x/lam past the float range) and lam *
+    tau_k above about 1420 (the family's prefactor e^{lam tau_k/2} overflows).
 
     tau_k defaults to 1.0: the kick period only needs to be long enough
     for the detector/reservoir to act, but tau_k = 2*pi would be a full
@@ -87,10 +93,10 @@ class NqsParams:
 
 @dataclass
 class EvolutionRecord:
-    """Trajectory sample: state and derived scalars at one protocol point."""
+    """Trajectory sample: state (a (d, d) array) and derived scalars at one protocol point."""
 
     tau: float
-    rho: DensityMatrix
+    rho: np.ndarray
     fidelity: float
     trace: float
     purity: float
@@ -168,9 +174,9 @@ def _thermal_upper(dim, lam, nbar, tau):
     """
     ix = _family_indices(dim)
     x, n, m, l, xm = ix.x, ix.n, ix.m, ix.l, ix.xm
-    E, g = np.array([damping_coefficients(xi, lam, nbar, tau) for xi in range(dim)]).T
-    q = nbar / (nbar + 1)
     xs = np.arange(dim)
+    E, g = damping_coefficients(xs, lam, nbar, tau)
+    q = nbar / (nbar + 1)
     pref = np.exp(lam * tau / 2 + 1j * xs * tau) * E ** (xs + 1)
     E2_pow = _power_table(E * E, dim).ravel()
     w = (q * g * g)[x]
@@ -328,16 +334,23 @@ def truncation_fidelity(rho, k, eps):
     which is <psi_k|rho|psi_k> for the target psi_k = (cos(k eps),
     -i sin(k eps)), clamped to [0, 1].
     """
-    el = rho.elements
-    if el.shape[0] < 2:
+    if rho.dim < 2:
         raise ValueError("need at least a two-level state")
+    return float(_fidelity(rho.elements, k, eps))
+
+
+def _fidelity(rho, k, eps):
+    """Array core of truncation_fidelity over a (..., d, d) stack of states;
+    the kick counts k broadcast against the stack's leading axes.  The
+    squares are products: a scalar ** 2 and an array ** 2 can round apart."""
     th = k * eps
+    c, s = np.cos(th), np.sin(th)
     f = (
-        np.cos(th) ** 2 * el[0, 0].real
-        + np.sin(2 * th) * el[0, 1].imag
-        + np.sin(th) ** 2 * el[1, 1].real
+        c * c * rho[..., 0, 0].real
+        + np.sin(2 * th) * rho[..., 0, 1].imag
+        + s * s * rho[..., 1, 1].real
     )
-    return min(max(float(f), 0.0), 1.0)
+    return np.clip(f, 0.0, 1.0)
 
 
 def evolve_kicked(p, initial=None):
@@ -349,12 +362,12 @@ def evolve_kicked(p, initial=None):
     yields 2K+1 records.  Fidelity in each record is measured against the
     k-kick target state with k = kicks applied so far.
 
-    The loop runs on arrays.  The state is validated twice, as a
-    DensityMatrix at the start and at the end of the trajectory.  In
+    The loop fills one (2K+1, d, d) array of states, each record's rho is a
+    view into it, and the records' scalars come from one pass over it.  The
+    state is validated as a DensityMatrix at the start and at the end; in
     between it only passes through CPTP steps (the kick and the Kerr phases
     unitary, the kick and the damped steps trace-checked) whose output is
-    Hermitian by construction, so the intermediate records hold unchecked
-    DensityMatrix objects (DensityMatrix._trusted).
+    Hermitian by construction.
 
     Args:
         p: NqsParams.
@@ -364,43 +377,32 @@ def evolve_kicked(p, initial=None):
     Raises:
         fock.CutoffError: if any kick or step moves the trace by more than
             fock.LEAKAGE_TOL (1e-8).
+        MemoryError: if the (2K+1, d, d) array does not fit in memory.
         ValueError: if the final state is not Hermitian or has an eigenvalue
             below -fock.EIG_TOL.
     """
     d = p.cutoff + 1
-    rho = np.zeros((d, d), dtype=complex)
-    if initial is None:
-        rho[0, 0] = 1.0
-    else:
-        if initial.dim > d:
-            raise ValueError(f"initial state dim {initial.dim} exceeds cutoff+1 = {d}")
-        rho[: initial.dim, : initial.dim] = initial.elements
-    start = DensityMatrix(rho)
+    rho0 = np.ones((1, 1)) if initial is None else initial.elements  # vacuum by default
+    if len(rho0) > d:
+        raise ValueError(f"initial state dim {len(rho0)} exceeds cutoff+1 = {d}")
+    states = np.zeros((2 * p.kicks + 1, d, d), dtype=complex)
+    states[0, : len(rho0), : len(rho0)] = rho0
+    DensityMatrix(states[0])
     if p.nbar > 0 and p.cutoff < 20:
         warnings.warn(
             f"cutoff {p.cutoff} is small for a thermal run; leakage checks may trip",
             stacklevel=2,
         )
-
-    def record(tau, k, state):
-        return EvolutionRecord(
-            tau=tau,
-            rho=state,
-            fidelity=truncation_fidelity(state, k, p.epsilon),
-            trace=state.trace,
-            purity=state.purity,
-            mean_n=state.mean_photon_number(),
-            kick_index=k,
-        )
-
-    records = [record(0.0, 0, start)]
-    if p.kicks == 0:
-        return records
-    U = kick_unitary(p.epsilon, p.cutoff)
-    for k in range(1, p.kicks + 1):
-        rho = _kick(rho, U)
-        records.append(record((k - 1) * p.tau_k, k, DensityMatrix._trusted(rho)))
-        rho = _damped(rho, p.lam, p.nbar, p.tau_k, "zero" if p.nbar == 0 else "thermal")
-        records.append(record(k * p.tau_k, k, DensityMatrix._trusted(rho)))
-    DensityMatrix(rho)  # end-of-trajectory validation
-    return records
+    if p.kicks:
+        U = kick_unitary(p.epsilon, p.cutoff)
+        kind = "zero" if p.nbar == 0 else "thermal"
+        for k in range(1, p.kicks + 1):
+            states[2 * k - 1] = _kick(states[2 * k - 2], U)
+            states[2 * k] = _damped(states[2 * k - 1], p.lam, p.nbar, p.tau_k, kind)
+        DensityMatrix(states[-1])  # end-of-trajectory validation
+    kick = (np.arange(len(states)) + 1) // 2  # record i follows kick (i + 1) // 2
+    columns = zip(_fidelity(states, kick, p.epsilon).tolist(), _trace(states).tolist(),
+                  _purity(states).tolist(), _mean_n(states).tolist(), kick.tolist())
+    return [EvolutionRecord(tau=(i // 2) * p.tau_k, rho=states[i], fidelity=f, trace=t,
+                            purity=pur, mean_n=n, kick_index=k)
+            for i, (f, t, pur, n, k) in enumerate(columns)]

@@ -56,11 +56,11 @@ def sqrt_binomial_ratio(n, m, l):
 def damping_coefficients(x, lam, nbar, tau):
     """Coefficients (E_x, g_bar_x) of the exact damped step, as complex numbers.
 
-    x is the diagonal offset n - m, lam the damping rate in units of the
-    Kerr coupling, nbar the thermal occupation and tau the duration in
-    units of the inverse Kerr coupling.  lam = 0 is outside this
-    operation's domain; the lossless case goes through the unitary Kerr
-    step instead.
+    x is the diagonal offset n - m, or an array of offsets, which gives
+    arrays of coefficients; lam is the damping rate in units of the Kerr
+    coupling, nbar the thermal occupation and tau the duration in units of
+    the inverse Kerr coupling.  lam = 0 is outside this operation's domain;
+    the lossless case goes through the unitary Kerr step instead.
 
     With Omega = 1 + 2 nbar + i y, y = x/lam, Delta the principal square
     root of Omega^2 - 4 nbar (nbar + 1) = 1 - y^2 + 2 i (1 + 2 nbar) y (the
@@ -78,7 +78,7 @@ def damping_coefficients(x, lam, nbar, tau):
         raise ValueError("nbar must be nonnegative")
     y = x / lam
     omega = 1 + 2 * nbar + 1j * y
-    delta = np.sqrt(complex(1 - y * y, 2 * (1 + 2 * nbar) * y))
+    delta = np.sqrt(1 - y * y + 2j * (1 + 2 * nbar) * y)
     t_x = lam * delta * tau / 2
     em2 = np.exp(-2 * t_x)
     D = (omega + delta) + (delta - omega) * em2

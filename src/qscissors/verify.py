@@ -43,7 +43,7 @@ def _result(name, checks, detail):
 def _random_density(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
-    return fock.DensityMatrix(rho / np.trace(rho).real)
+    return fock.DensityMatrix(rho / fock._trace(rho))
 
 
 def _random_lqs_params(rng):

@@ -170,12 +170,12 @@ def test_criterion_8_reference_trajectory():
     rho[0, 0] = 1.0
     # deviations are collected and reduced by np.max, which keeps a nan
     # (the builtin max(0.0, nan) would drop it)
-    dev_el = [np.max(np.abs(recs[0].rho.elements - rho))]
+    dev_el = [np.max(np.abs(recs[0].rho - rho))]
     for k in range(1, p.kicks + 1):
         rho = U @ rho @ U.conj().T
-        dev_el.append(np.max(np.abs(recs[2 * k - 1].rho.elements - rho)))
+        dev_el.append(np.max(np.abs(recs[2 * k - 1].rho - rho)))
         rho = integrate(rho, p.tau_k, p).elements
-        dev_el.append(np.max(np.abs(recs[2 * k].rho.elements - rho)))
+        dev_el.append(np.max(np.abs(recs[2 * k].rho - rho)))
     _report(8, "kicked run vs composed expm-kick + RK4 at all 41 records",
             float(np.max(dev_el)), 1e-9)
     dev_f = []

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import qscissors
-from qscissors import nqs, verify
+from qscissors import cli, nqs, verify
 from qscissors.cli import main, parse_range
 
 
@@ -140,10 +140,23 @@ def test_removed_flags_exit_2(tmp_path, capsys):
         assert f"unknown key {key!r}" in err.err and err.out == ""
 
 
-def test_byte_identical_reruns(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["lqs", "--alpha", "0:2:9", "--eta", "0.9", "--gamma-bs", "0.02",
-            "--r-sq", "0.49"]
+_NQS_ZERO_T = ["nqs", "--epsilon", "0.1", "--lambda", "0.01", "--kicks", "5", "--cutoff", "20"]
+_NQS_THERMAL = ["nqs", "--epsilon", "0.1", "--lambda", "0.05", "--nbar", "0.2", "--kicks", "5",
+                "--cutoff", "20"]
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["lqs", "--alpha", "0:2:9", "--eta", "0.9", "--gamma-bs", "0.02",
+                  "--r-sq", "0.49"], id="lqs"),
+    pytest.param(_NQS_ZERO_T, id="nqs-zero-T-csv"),
+    pytest.param(_NQS_ZERO_T + ["--format", "json"], id="nqs-zero-T-json"),
+    pytest.param(_NQS_THERMAL, id="nqs-thermal-csv"),
+    pytest.param(_NQS_THERMAL + ["--format", "json"], id="nqs-thermal-json"),
+    pytest.param(["verify", "--suite", "lqs-gram"], id="verify-csv"),
+    pytest.param(["verify", "--suite", "nqs-rk4", "--format", "json"], id="verify-json"),
+])
+def test_byte_identical_reruns(tmp_path, args):
+    a, b = tmp_path / "a.out", tmp_path / "b.out"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -173,6 +186,25 @@ def test_nqs_cutoff_error_exits_1(capsys):
                    "--kicks", "2", "--cutoff", "1"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 47.8 PiB for an array with shape (2000000000001, 41, 41) "
+     "and data type complex128", "error: Unable to allocate 47.8 PiB"),
+    ("", "error: MemoryError"),
+])
+def test_memory_error_exits_1(monkeypatch, capsys, message, line):
+    # a trajectory too long to hold is a numerical failure with one error
+    # line; the refusal is simulated, so nothing large is allocated
+    def refuse(p, initial=None):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "evolve_kicked", refuse)
+    rc = main(["nqs", "--epsilon", "0.1", "--kicks", "1000000000000", "--cutoff", "40"])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(line) and out.err.count("\n") == 1
 
 
 def test_config_file_with_override(tmp_path, capsys):

@@ -226,7 +226,7 @@ def test_evolve_kicked_zero_kicks():
 def test_evolve_kicked_confines_to_qubit_subspace():
     p = NqsParams(epsilon=0.1, kicks=10, cutoff=15, lam=0.05)
     recs = evolve_kicked(p)
-    tail = np.diag(recs[-1].rho.elements).real[2:].sum()
+    tail = np.diag(recs[-1].rho).real[2:].sum()
     assert tail < 0.02
     assert recs[-1].fidelity > 0.9
 
@@ -235,8 +235,8 @@ def test_evolve_kicked_initial_state_padding():
     small = DensityMatrix(np.diag([0.4, 0.6]))
     p = NqsParams(epsilon=0.05, kicks=1, cutoff=10, lam=0.01)
     recs = evolve_kicked(p, initial=small)
-    assert recs[0].rho.dim == 11
-    assert recs[0].rho.elements[1, 1].real == pytest.approx(0.6)
+    assert recs[0].rho.shape == (11, 11)
+    assert recs[0].rho[1, 1].real == pytest.approx(0.6)
     big = DensityMatrix(np.eye(20) / 20)
     with pytest.raises(ValueError):
         evolve_kicked(p, initial=big)
@@ -491,11 +491,11 @@ def test_evolve_kicked_equals_chain_of_validated_steps(
         want.append(state)
     assert len(records) == len(want)
     for rec, ref in zip(records, want):
-        assert np.array_equal(rec.rho.elements, ref.elements)
+        assert np.array_equal(rec.rho, ref.elements)
         assert (rec.trace, rec.purity, rec.mean_n) == (
             ref.trace, ref.purity, ref.mean_photon_number())
         assert rec.fidelity == truncation_fidelity(ref, rec.kick_index, eps)
-        DensityMatrix(rec.rho.elements)
+        DensityMatrix(rec.rho)
 
 
 def test_evolve_kicked_validates_final_state(monkeypatch):

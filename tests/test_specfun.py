@@ -108,6 +108,19 @@ def test_damping_coefficients_match_direct_form(x, lam, nbar, log_tau):
     assert abs(got_g - g) <= 1e-13 * abs(g)
 
 
+@settings(max_examples=100, deadline=None)
+@given(lam=st.floats(1e-3, 1.0), nbar=st.floats(0.0, 2.0), log_tau=st.floats(-12.0, 1.0))
+def test_damping_coefficients_over_an_array_of_offsets(lam, nbar, log_tau):
+    # one call over x = 0..39 matches the scalar calls entry by entry; numpy's
+    # array and scalar loops may round apart by a few ulps
+    tau = 10.0**log_tau
+    E, g = damping_coefficients(np.arange(40), lam, nbar, tau)
+    for x in range(40):
+        E1, g1 = damping_coefficients(x, lam, nbar, tau)
+        assert abs(E[x] - E1) <= 1e-14 * abs(E1)
+        assert abs(g[x] - g1) <= 1e-14 * abs(g1)
+
+
 def test_damping_coefficients_at_zero_time():
     E, g_bar = damping_coefficients(0, 0.5, 0.0, 0.0)
     assert E == 1.0

@@ -20,21 +20,17 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .fock import CutoffError
-from .lqs import LqsParams, fidelity_closed_form, fidelity_ppb
+from .lqs import _closed_form, _domain, _ppb
 from .nqs import NqsParams, evolve_kicked
 from .verify import SUITES
-
-LQS_COLUMNS = ("alpha_abs", "eta", "gamma_bs", "r_sq", "F_closed", "F_ppb")
-NQS_COLUMNS = (
-    "kick_index", "tau", "fidelity", "trace", "purity", "mean_n",
-    "rho_00", "re_rho_01", "im_rho_01", "rho_11",
-)
-VERIFY_COLUMNS = ("suite", "passed", "max_dev", "tolerance", "detail")
 
 
 def parse_range(text):
@@ -129,14 +125,50 @@ def _config_tokens(path, parser):
     return tokens
 
 
+_FLOAT_TEXT = {"csv": "{:.15g}".format, "json": float.__repr__}
+
+
 def _fmt_cell(v):
+    """One CSV cell: floats to 15 significant digits, None empty, booleans
+    lower case, anything else through str."""
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return f"{v:.15g}"
+        return _FLOAT_TEXT["csv"](v)
     return str(v)
+
+
+def _json_cell(v):
+    """One JSON value as json.dumps writes it."""
+    if v is None:
+        return "null"
+    if type(v) is float and math.isfinite(v):
+        return repr(v)
+    return json.dumps(v)
+
+
+_CELL_TEXT = {"csv": _fmt_cell, "json": _json_cell}
+
+
+def _column_text(values, fmt):
+    """The cells of one column as `fmt` writes them.
+
+    A float array is formatted once per distinct value, told apart by its
+    bits so that -0.0 keeps its sign: a fixed parameter's column holds one
+    value.  Values are formatted as Python objects, since numpy 2 prints a
+    float64 as np.float64(...).  A column of finite floats takes one
+    formatter; any other column is formatted value by value.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == float:
+        bits, where = np.unique(values.view(np.int64), return_inverse=True)
+        return np.array(_column_text(bits.view(float).tolist(), fmt), dtype=object)[where].tolist()
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if set(map(type, values)) == {float} and all(map(math.isfinite, values)):
+        return list(map(_FLOAT_TEXT[fmt], values))
+    return list(map(_CELL_TEXT[fmt], values))
 
 
 def _check_out(path):
@@ -154,16 +186,28 @@ def _check_out(path):
     raise ValueError(f"cannot write --out {path}: {reason}")
 
 
-def _emit(rows, columns, fmt, meta, out_path):
+def _emit(columns, fmt, meta, out_path):
+    """Write a table, {name: column of values}, to `out_path` or stdout.
+
+    CSV goes through csv.writer, which quotes cells that need it.  JSON is
+    byte for byte json.dumps({"meta": meta, "rows": [{name: value, ...},
+    ...]}, indent=2, sort_keys=True) plus a newline: each row fills one
+    template of the sorted names, and meta goes through json.dumps.
+    """
+    names = sorted(columns) if fmt == "json" else list(columns)
+    cells = zip(*(_column_text(columns[k], fmt) for k in names))
     if fmt == "json":
-        doc = {"meta": meta, "rows": [dict(zip(columns, r)) for r in rows]}
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        template = "    {\n" + ",\n".join(
+            "      " + json.dumps(k).replace("%", "%%") + ": %s" for k in names) + "\n    }"
+        rows = ",\n".join(template % row for row in cells)
+        meta_text = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+        text = (f'{{\n  "meta": {meta_text},\n  "rows": '
+                + (f"[\n{rows}\n  ]" if rows else "[]") + "\n}\n")
     else:
         buf = io.StringIO()
         w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-        w.writerow(columns)
-        for r in rows:
-            w.writerow([_fmt_cell(v) for v in r])
+        w.writerow(names)
+        w.writerows(cells)
         text = buf.getvalue()
     if out_path:
         try:
@@ -173,14 +217,6 @@ def _emit(rows, columns, fmt, meta, out_path):
             raise ValueError(f"cannot write --out {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _lqs_point(alpha, eta, gamma_bs, r_sq):
-    if not 0.0 <= r_sq <= 1.0:
-        raise ValueError(f"--r-sq must lie in [0, 1], got {r_sq}")
-    p = LqsParams(alpha=alpha, eta=eta, gamma_bs=gamma_bs, r_mag=r_sq**0.5)
-    f_ppb = fidelity_ppb(alpha, eta) if gamma_bs == 0 and abs(r_sq - 0.5) < 1e-12 else None
-    return (abs(alpha), eta, gamma_bs, r_sq, fidelity_closed_form(p), f_ppb)
 
 
 def cmd_lqs(args):
@@ -211,22 +247,31 @@ def cmd_lqs(args):
     for path in out_paths:
         if path:
             _check_out(path)
-    meta_base = {"command": "lqs", "version": __version__, "format": args.fmt,
-                 "swept_axis": sweep_key,
-                 "axes": {k: [_fmt_cell(v) for v in axes[k]] for k in axes}}
-    # every table is built before the first is written, so a bad point
-    # leaves no partial output
-    tables = []
-    for combo in combos:
-        fixed = dict(zip(extra, combo))
-        rows = []
-        for v in axes[sweep_key]:
-            point = {k: fixed.get(k, axes[k][0]) for k in axes}
-            point[sweep_key] = v
-            rows.append(_lqs_point(**point))
-        tables.append((rows, dict(meta_base, fixed={k: _fmt_cell(v) for k, v in fixed.items()})))
-    for (rows, meta), out_path in zip(tables, out_paths):
-        _emit(rows, LQS_COLUMNS, args.fmt, meta, out_path)
+    fixed = [dict(zip(extra, combo)) for combo in combos]
+    # each axis over every point, table after table; every point is checked
+    # before the first table is written, so a bad point leaves no output
+    shape = (len(combos), len(axes[sweep_key]))
+    alpha, eta, gamma_bs, r_sq = (
+        np.broadcast_to(v if k == sweep_key else [[f.get(k, v[0])] for f in fixed], shape).ravel()
+        for k, v in axes.items())
+    r_sq_range = ((0.0 <= r_sq) & (r_sq <= 1.0),
+                  lambda i: f"--r-sq must lie in [0, 1], got {r_sq[i].item()}")
+    with np.errstate(invalid="ignore"):  # r_sq outside [0, 1] fails r_sq_range first
+        r_mag = np.sqrt(r_sq)
+    t, checks = _domain(alpha, gamma_bs, r_mag, eta)
+    a = np.abs(alpha)
+    f_closed = _closed_form(a, eta, gamma_bs, r_mag, t, [r_sq_range, *checks])
+    lossless_5050 = (gamma_bs == 0) & (np.abs(r_sq - 0.5) < 1e-12)
+    f_ppb = np.where(lossless_5050, _ppb(a * a, eta), None)
+    columns = {"alpha_abs": a, "eta": eta, "gamma_bs": gamma_bs, "r_sq": r_sq,
+               "F_closed": f_closed, "F_ppb": f_ppb}
+    meta = {"command": "lqs", "version": __version__, "format": args.fmt,
+            "swept_axis": sweep_key,
+            "axes": {k: [_fmt_cell(v) for v in axes[k]] for k in axes}}
+    for i, (table_fixed, out_path) in enumerate(zip(fixed, out_paths)):
+        rows = slice(i * shape[1], (i + 1) * shape[1])
+        _emit({k: v[rows] for k, v in columns.items()}, args.fmt,
+              dict(meta, fixed={k: _fmt_cell(v) for k, v in table_fixed.items()}), out_path)
     return 0
 
 
@@ -240,13 +285,15 @@ def cmd_nqs(args):
     if args.out:
         _check_out(args.out)
     records = evolve_kicked(p)
-    rows = [(r.kick_index, r.tau, r.fidelity, r.trace, r.purity, r.mean_n,
-             r.rho[0, 0].real, r.rho[0, 1].real, r.rho[0, 1].imag, r.rho[1, 1].real)
-            for r in records]
+    corner = np.array([r.rho[:2, :2] for r in records])
+    columns = {k: [getattr(r, k) for r in records]
+               for k in ("kick_index", "tau", "fidelity", "trace", "purity", "mean_n")}
+    columns.update(rho_00=corner[:, 0, 0].real, re_rho_01=corner[:, 0, 1].real,
+                   im_rho_01=corner[:, 0, 1].imag, rho_11=corner[:, 1, 1].real)
     meta = {"command": "nqs", "version": __version__, "format": args.fmt,
             "params": {"epsilon": p.epsilon, "lambda": p.lam, "nbar": p.nbar,
                        "tau_k": p.tau_k, "kicks": p.kicks, "cutoff": p.cutoff}}
-    _emit(rows, NQS_COLUMNS, args.fmt, meta, args.out)
+    _emit(columns, args.fmt, meta, args.out)
     return 0
 
 
@@ -254,10 +301,12 @@ def cmd_verify(args):
     if args.out:
         _check_out(args.out)
     results = [SUITES[name](args.seed) for name in ([args.suite] if args.suite else SUITES)]
-    rows = [(r.name, r.passed, r.max_dev, r.tolerance, r.detail) for r in results]
+    columns = {"suite": [r.name for r in results], "passed": [r.passed for r in results],
+               "max_dev": [r.max_dev for r in results],
+               "tolerance": [r.tolerance for r in results], "detail": [r.detail for r in results]}
     meta = {"command": "verify", "version": __version__, "seed": args.seed,
-            "suites": [r.name for r in results]}
-    _emit(rows, VERIFY_COLUMNS, args.fmt, meta, args.out)
+            "suites": columns["suite"]}
+    _emit(columns, args.fmt, meta, args.out)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: max deviation {r.max_dev:.3e} "

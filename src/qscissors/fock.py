@@ -36,10 +36,18 @@ def check_trace_drift(rho_in, rho_out, what):
     """Raise CutoffError if `what` moved the trace from rho_in to rho_out by
     more than LEAKAGE_TOL: trace-preserving evolution on a truncated space
     loses trace only by pushing population past the cutoff."""
-    drift = abs(float(_trace(rho_out)) - float(_trace(rho_in)))
+    _checked_trace(float(_trace(rho_in)), rho_out, what)
+
+
+def _checked_trace(tr_in, rho_out, what):
+    """The trace of rho_out, after check_trace_drift's check against tr_in,
+    the trace of the state `what` started from."""
+    tr_out = float(_trace(rho_out))
+    drift = abs(tr_out - tr_in)
     if not drift <= LEAKAGE_TOL:  # a nan drift fails too
         raise CutoffError(f"{what}: trace drifted by {drift:.3e} (tolerance "
                           f"{LEAKAGE_TOL:.0e}); the state reaches the cutoff, enlarge it")
+    return tr_out
 
 
 # Re tr rho, Re tr rho^2 and sum_n n Re rho_nn, one formula each, of a (d, d)

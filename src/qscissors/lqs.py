@@ -40,20 +40,9 @@ class LqsParams:
     t: float = field(init=False)
 
     def __post_init__(self):
-        if not abs(self.alpha) <= _ALPHA_MAX:  # nan and inf fail too
-            raise ValueError(f"alpha must be finite with |alpha|^2 inside the float "
-                             f"range, got {self.alpha}")
-        if not 0.0 <= self.r_mag <= 1.0:
-            raise ValueError(f"r_mag must lie in [0, 1], got {self.r_mag}")
-        if not 0.0 <= self.gamma_bs <= 1.0:
-            raise ValueError(f"Gamma (gamma_bs) must lie in [0, 1], got {self.gamma_bs}")
-        t_sq = 1.0 - self.gamma_bs - self.r_mag**2
-        if t_sq < -1e-12:
-            raise ValueError(f"r_mag^2 + Gamma (gamma_bs) = {1.0 - t_sq:.12g} exceeds 1")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        # |t^2| <= 1e-12 is rounding in the subtraction: t = 0
-        self.t = math.sqrt(t_sq) if t_sq > 1e-12 else 0.0
+        t, checks = _domain(self.alpha, self.gamma_bs, self.r_mag, self.eta)
+        _first_failure(checks)
+        self.t = float(t)
 
     @property
     def r(self):
@@ -63,7 +52,59 @@ class LqsParams:
     @property
     def x(self):
         """Detector-dressed loss commutator eta*Gamma + (1 - eta)."""
-        return self.eta * self.gamma_bs + 1.0 - self.eta
+        return _loss_commutator(self.eta, self.gamma_bs)
+
+
+def _loss_commutator(eta, gamma_bs):
+    """x = eta*Gamma + (1 - eta), of scalars or arrays."""
+    return eta * gamma_bs + 1.0 - eta
+
+
+def _domain(alpha, gamma_bs, r_mag, eta):
+    """t and the domain checks of LqsParams at one point or a 1-d array of them.
+
+    Returns t = sqrt(1 - Gamma - r_mag^2), which is 0 where the subtraction
+    leaves |t^2| <= 1e-12 (rounding), and the checks as (mask of points
+    that pass, message of point i) pairs in the order they apply, for
+    _first_failure.  A nan fails the first check on its own value, so the
+    r_mag^2 + Gamma check never sees one.
+    """
+    with np.errstate(all="ignore"):  # a point outside the domain fails a check instead
+        t_sq = 1.0 - gamma_bs - r_mag * r_mag
+        t = np.where(t_sq > 1e-12, np.sqrt(t_sq), 0.0)
+        finite_alpha = abs(alpha) <= _ALPHA_MAX
+    checks = [
+        (finite_alpha, lambda i: "alpha must be finite with |alpha|^2 inside the float "
+                                 f"range, got {_at(alpha, i)}"),
+        ((0.0 <= r_mag) & (r_mag <= 1.0),
+         lambda i: f"r_mag must lie in [0, 1], got {_at(r_mag, i)}"),
+        ((0.0 <= gamma_bs) & (gamma_bs <= 1.0),
+         lambda i: f"Gamma (gamma_bs) must lie in [0, 1], got {_at(gamma_bs, i)}"),
+        (t_sq >= -1e-12,
+         lambda i: f"r_mag^2 + Gamma (gamma_bs) = {1.0 - _at(t_sq, i):.12g} exceeds 1"),
+        ((0.0 < eta) & (eta <= 1.0), lambda i: f"eta must lie in (0, 1], got {_at(eta, i)}"),
+    ]
+    return t, checks
+
+
+def _at(values, i):
+    """Point i of a scalar or a 1-d array, as a Python number."""
+    return np.ravel(values)[i].item()
+
+
+def _first_failure(checks):
+    """Raise ValueError for the first failing point of `checks`.
+
+    `checks` holds (mask, message) pairs in the order they apply to one
+    point; each mask flags the points that pass, as a scalar or a 1-d
+    array, and message(i) describes point i.  The first point that fails
+    any check is reported by the first check it fails, as a loop over the
+    points would.
+    """
+    failing = ~np.array([ok for ok, _ in checks], dtype=bool).reshape(len(checks), -1)
+    if failing.any():
+        i = int(failing.any(axis=0).argmax())
+        raise ValueError(checks[int(failing[:, i].argmax())][1](i))
 
 
 def truncated_state_general_bs(alpha, t1, r1, t2, r2):
@@ -92,15 +133,29 @@ def fidelity_closed_form(p):
     normalization_closed_form), or t = 0 at alpha = 0 or with lossless
     splitters and ideal detectors.
     """
-    a2 = abs(p.alpha) ** 2
-    if _herald_bracket(p, a2) == 0:
-        raise ValueError("F is undefined: the heralding event has probability zero "
-                         f"(r_mag = {p.r_mag:.6g}, t = {p.t:.6g}, |alpha| = {abs(p.alpha):.6g})")
-    if a2 == 0:
-        return 1.0
-    R = 1.0 / a2
-    loss = p.x * p.r_mag**2 + p.gamma_bs
-    return 1.0 - loss / ((1.0 + R) * (loss + p.t**2 * (1.0 + R)))
+    return float(_closed_form(abs(p.alpha), p.eta, p.gamma_bs, p.r_mag, p.t))
+
+
+def _closed_form(a, eta, gamma_bs, r_mag, t, checks=()):
+    """fidelity_closed_form at one point or a 1-d array of them, |alpha| = a.
+
+    Raises as _first_failure does for `checks` followed by the check that
+    the herald has nonzero probability.  F = 1 - loss/((1 + R)(loss + t^2
+    (1 + R))) with R = 1/|alpha|^2 and loss = x r^2 + Gamma uses only
+    + - * /, which round alike for Python floats and float64 arrays, so one
+    point and a whole axis give the same bits; R = inf at alpha = 0 gives
+    exactly 1.
+    """
+    with np.errstate(all="ignore"):  # points that fail a check are never returned
+        a2, r2, t2 = a * a, r_mag * r_mag, t * t
+        defined = _herald_bracket(a2, eta, gamma_bs, r2, t2) != 0
+        R = np.divide(1.0, a2)  # a float64 even for a Python float, so 1/0 is inf
+        loss = _loss_commutator(eta, gamma_bs) * r2 + gamma_bs
+        f = 1.0 - loss / ((1.0 + R) * (loss + t2 * (1.0 + R)))
+    _first_failure([*checks, (defined, lambda i: (
+        "F is undefined: the heralding event has probability zero "
+        f"(r_mag = {_at(r_mag, i):.6g}, t = {_at(t, i):.6g}, |alpha| = {_at(a, i):.6g})"))])
+    return f
 
 
 def fidelity_unsimplified(p):
@@ -126,19 +181,21 @@ def normalization_closed_form(p):
     evaluated in log space so that N stays finite where e^{x|alpha|^2}
     alone overflows, and equal to (eta r^2 t^2)^{-1/2} at alpha = 0.
     """
-    a2 = abs(p.alpha) ** 2
-    bracket = _herald_bracket(p, a2)
+    a = abs(p.alpha)
+    a2 = a * a
+    bracket = _herald_bracket(a2, p.eta, p.gamma_bs, p.r_mag * p.r_mag, p.t * p.t)
     if bracket == 0:
         raise ValueError("N is undefined: the heralding event has probability zero")
     return math.exp(-0.5 * (p.x * a2 + math.log(bracket)))
 
 
-def _herald_bracket(p, a2):
+def _herald_bracket(a2, eta, gamma_bs, r2, t2):
     """eta r^2 (t^2 (1 + |alpha|^2) + |alpha|^2 (r^2 x + Gamma)), which is
     N^-2 e^{-x|alpha|^2}: zero exactly where the herald has probability zero.
     For |alpha| > 0 it equals eta r^2 |alpha|^2 times the denominator
-    loss + t^2 (1 + 1/|alpha|^2) of fidelity_closed_form."""
-    return p.eta * p.r_mag**2 * (p.t**2 * (1.0 + a2) + a2 * (p.r_mag**2 * p.x + p.gamma_bs))
+    loss + t^2 (1 + 1/|alpha|^2) of fidelity_closed_form.  Takes the
+    squares a2 = |alpha|^2, r2 = r_mag^2 and t2 = t^2, scalars or arrays."""
+    return eta * r2 * (t2 * (1.0 + a2) + a2 * (r2 * _loss_commutator(eta, gamma_bs) + gamma_bs))
 
 
 def fidelity_ppb(alpha, eta):
@@ -147,9 +204,18 @@ def fidelity_ppb(alpha, eta):
     1 - (1 - eta) |alpha|^4 / ((1 + |alpha|^2)(1 + (2 - eta)|alpha|^2)),
     written in u = |alpha|^2/(1 + |alpha|^2) as 1 - (1 - eta) u^2/(1 +
     (1 - eta) u), which stays finite for every |alpha|^2 a float holds.
+    Raises OverflowError where |alpha| is finite and |alpha|^2 is not.
     """
-    u = abs(alpha) ** 2
-    u /= 1.0 + u
+    a = abs(alpha)
+    a2 = a * a
+    if math.isinf(a2) and math.isfinite(a):
+        raise OverflowError(f"|alpha|^2 overflows a float at |alpha| = {a:.6g}")
+    return _ppb(a2, eta)
+
+
+def _ppb(a2, eta):
+    """fidelity_ppb at |alpha|^2 = a2, over scalars or arrays; only + - * /."""
+    u = a2 / (1.0 + a2)
     loss = (1.0 - eta) * u
     return 1.0 - loss * u / (1.0 + loss)
 

@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import (DensityMatrix, _apply_diagonal_propagators, _mean_n, _purity, _trace,
-                   check_trace_drift)
+from .fock import (DensityMatrix, _apply_diagonal_propagators, _checked_trace, _mean_n, _purity,
+                   _trace)
 from .specfun import _ln_factorials, damping_coefficients, laguerre_assoc, sqrt_binomial_ratio
 
 
@@ -230,19 +230,20 @@ def _propagator_family(dim, lam, nbar, tau, kind):
     return stack
 
 
-def _damped(rho, lam, nbar, tau, kind):
+def _damped(rho, lam, nbar, tau, kind, tr):
     """Array core of both damped steps; kind picks the propagator family.
 
+    `tr` is the trace of rho; returns the stepped state and its trace.
     lam = 0 is the lossless Kerr step, at any nbar: with no coupling the
     reservoir does nothing.  Raises CutoffError if the step moves the trace
     by more than LEAKAGE_TOL.
     """
     if lam == 0:
-        return _kerr(rho, tau)
+        out = _kerr(rho, tau)
+        return out, float(_trace(out))
     stack = _propagator_family(rho.shape[0], float(lam), float(nbar), float(tau), kind)
     out = _apply_diagonal_propagators(rho, stack)
-    check_trace_drift(rho, out, "zero-T step" if kind == "zero" else "thermal step")
-    return out
+    return out, _checked_trace(tr, out, "zero-T step" if kind == "zero" else "thermal step")
 
 
 def _kerr(rho, tau):
@@ -257,7 +258,8 @@ def analytic_damped_step_thermal(rho_in, tau, p):
 
     At lam = 0 it is the unitary Kerr step.
     """
-    return DensityMatrix(_damped(rho_in.elements, p.lam, p.nbar, tau, "thermal"))
+    rho = rho_in.elements
+    return DensityMatrix(_damped(rho, p.lam, p.nbar, tau, "thermal", float(_trace(rho)))[0])
 
 
 def analytic_damped_step_zero_T(rho_in, tau, p):
@@ -267,7 +269,8 @@ def analytic_damped_step_zero_T(rho_in, tau, p):
     """
     if p.nbar != 0:
         raise ValueError("zero-T step requires nbar = 0")
-    return DensityMatrix(_damped(rho_in.elements, p.lam, 0.0, tau, "zero"))
+    rho = rho_in.elements
+    return DensityMatrix(_damped(rho, p.lam, 0.0, tau, "zero", float(_trace(rho)))[0])
 
 
 def unitary_kerr_step(rho_in, tau):
@@ -275,6 +278,9 @@ def unitary_kerr_step(rho_in, tau):
     return DensityMatrix(_kerr(rho_in.elements, tau))
 
 
+# A trajectory builds one kick matrix, and a study reruns few (eps, cutoff)
+# points; a cutoff-40 matrix holds 1681 complex entries.
+@functools.lru_cache(maxsize=4)
 def kick_unitary(eps, cutoff):
     """Displacement matrix of one kick, U = D(-i eps), in closed form.
 
@@ -284,7 +290,8 @@ def kick_unitary(eps, cutoff):
     triangle is evaluated at once over its index arrays, its Laguerre values
     from one recurrence, and mirrored into the upper.  Raises
     FloatingPointError if an element is not finite, which happens where eps
-    is far outside the weak-kick regime.
+    is far outside the weak-kick regime.  Cached per (eps, cutoff); the
+    result is read-only.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -306,25 +313,27 @@ def kick_unitary(eps, cutoff):
     U[n, m] = val
     off = k > 0
     U[m[off], n[off]] = (1 - 2 * (k[off] % 2)) * np.conj(val[off])
+    U.flags.writeable = False
     return U
 
 
-def _kick(rho, U):
+def _kick(rho, U, tr):
     """Array core of one kick, U rho U^dag, made Hermitian by construction.
 
+    `tr` is the trace of rho; returns the kicked state and its trace.
     Raises CutoffError if the kick moves the trace by more than LEAKAGE_TOL.
     """
     if U.shape[0] != rho.shape[0]:
         raise ValueError(f"kick matrix dim {U.shape[0]} != state dim {rho.shape[0]}")
     out = U @ rho @ U.conj().T
     out = 0.5 * (out + out.conj().T)
-    check_trace_drift(rho, out, "kick")
-    return out
+    return out, _checked_trace(tr, out, "kick")
 
 
 def apply_kick(rho_in, U):
     """One kick: rho -> U rho U^dag; CutoffError if it moves the trace."""
-    return DensityMatrix(_kick(rho_in.elements, U))
+    rho = rho_in.elements
+    return DensityMatrix(_kick(rho, U, float(_trace(rho)))[0])
 
 
 def truncation_fidelity(rho, k, eps):
@@ -396,9 +405,10 @@ def evolve_kicked(p, initial=None):
     if p.kicks:
         U = kick_unitary(p.epsilon, p.cutoff)
         kind = "zero" if p.nbar == 0 else "thermal"
+        tr = float(_trace(states[0]))  # each state's trace is taken once, by the step making it
         for k in range(1, p.kicks + 1):
-            states[2 * k - 1] = _kick(states[2 * k - 2], U)
-            states[2 * k] = _damped(states[2 * k - 1], p.lam, p.nbar, p.tau_k, kind)
+            states[2 * k - 1], tr = _kick(states[2 * k - 2], U, tr)
+            states[2 * k], tr = _damped(states[2 * k - 1], p.lam, p.nbar, p.tau_k, kind, tr)
         DensityMatrix(states[-1])  # end-of-trajectory validation
     kick = (np.arange(len(states)) + 1) // 2  # record i follows kick (i + 1) // 2
     columns = zip(_fidelity(states, kick, p.epsilon).tolist(), _trace(states).tolist(),

@@ -1,6 +1,8 @@
 """Tests for the command-line driver: sweeps, formats, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,10 @@ import sys
 import warnings
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qscissors
 from qscissors import cli, nqs, verify
@@ -506,3 +511,52 @@ def test_import_defers_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e300, -1e300]))
+_CELLS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), _FLOATS,
+                   st.text(alphabet=st.sampled_from(list('ab ,"\'\n\r;%é€😀')), max_size=6))
+
+
+@st.composite
+def _tables(draw):
+    """{name: column}: lists of mixed cells, and float arrays (fixed
+    parameters repeat one value), the shapes the subcommands emit."""
+    names = draw(st.lists(st.text(max_size=5), min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(0, 6))
+    columns = {}
+    for name in names:
+        kind = draw(st.sampled_from(["cells", "floats", "fixed"]))
+        if kind == "cells":
+            columns[name] = draw(st.lists(_CELLS, min_size=n, max_size=n))
+        else:
+            size = 1 if kind == "fixed" else n
+            values = np.array(draw(st.lists(_FLOATS, min_size=size, max_size=size)), dtype=float)
+            columns[name] = np.broadcast_to(values, n) if kind == "fixed" else values
+    return columns
+
+
+def _stdlib_cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return f"{v:.15g}" if isinstance(v, float) else str(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=_tables(), meta=st.dictionaries(st.text(max_size=4), st.one_of(
+    _FLOATS, st.text(max_size=4), st.lists(st.text(max_size=3), max_size=3)), max_size=3))
+def test_emit_writes_what_the_stdlib_writes(columns, meta):
+    rows = list(zip(*(v.tolist() if isinstance(v, np.ndarray) else v for v in columns.values())))
+    want_json = json.dumps({"meta": meta, "rows": [dict(zip(columns, r)) for r in rows]},
+                           indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(columns)
+    w.writerows([_stdlib_cell(v) for v in r] for r in rows)
+    for fmt, want in (("json", want_json), ("csv", buf.getvalue())):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(columns, fmt, meta, None)
+        assert out.getvalue() == want

@@ -2,9 +2,12 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qscissors.lqs import (
     LqsParams,
@@ -16,6 +19,7 @@ from qscissors.lqs import (
     normalization_closed_form,
     truncated_state_general_bs,
 )
+from qscissors.lqs import _closed_form, _domain, _ppb
 
 
 def test_params_two_of_three_resolution():
@@ -250,3 +254,40 @@ def test_closed_form_monotone_in_bs_loss():
                     if prev is not None:
                         assert f <= prev + 1e-15
                     prev = f
+
+
+@st.composite
+def _lqs_points(draw):
+    """(alpha, eta, Gamma, r^2) inside the domain: alpha may be 0 or
+    negative, and some points are the lossless 50/50 splitter."""
+    alpha = draw(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)))
+    eta = draw(st.floats(1e-3, 1.0))
+    if draw(st.booleans()):
+        return alpha, eta, 0.0, 0.5
+    gamma_bs = draw(st.floats(0.0, 0.9))
+    r_sq = draw(st.floats(1e-6, 1.0)) * (1.0 - gamma_bs)
+    return alpha, eta, gamma_bs, r_sq
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(_lqs_points(), min_size=1, max_size=20))
+def test_array_closed_forms_equal_scalar_bit_for_bit(points):
+    # one expression serves a whole axis and one point: the array results
+    # must be the scalar ones exactly, and a point where F is undefined
+    # must raise the same error on both routes
+    alpha, eta, gamma_bs, r_sq = map(np.array, zip(*points))
+    r_mag = np.sqrt(r_sq)
+    t, checks = _domain(alpha, gamma_bs, r_mag, eta)
+    scalar = []
+    for a, e, g, r in zip(alpha.tolist(), eta.tolist(), gamma_bs.tolist(), r_mag.tolist()):
+        p = LqsParams(alpha=a, eta=e, gamma_bs=g, r_mag=r)
+        try:
+            scalar.append(fidelity_closed_form(p))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                _closed_form(np.abs(alpha), eta, gamma_bs, r_mag, t, checks)
+            return
+    assert _closed_form(np.abs(alpha), eta, gamma_bs, r_mag, t, checks).tolist() == scalar
+    a = np.abs(alpha)
+    ppb = [fidelity_ppb(x, e) for x, e in zip(alpha.tolist(), eta.tolist())]
+    assert _ppb(a * a, eta).tolist() == ppb

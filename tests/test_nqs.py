@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from qscissors import nqs
+from qscissors import fock, nqs
 from qscissors.fock import (
     CutoffError,
     DensityMatrix,
@@ -168,6 +168,16 @@ def test_kick_unitary_is_unitary_and_symmetric(eps, cutoff):
     assert np.max(np.abs(cols.conj().T @ cols - np.eye(d))) < 1e-12
     sign = (-1.0) ** np.subtract.outer(np.arange(d), np.arange(d))
     assert np.max(np.abs(U - sign * U.conj().T)) < 1e-14
+
+
+def test_kick_unitary_cached_read_only():
+    U = kick_unitary(0.1, 40)
+    assert kick_unitary(0.1, 40) is U
+    assert not U.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        U[0, 0] = 0.0
+    fresh = kick_unitary.__wrapped__(0.1, 40)
+    assert fresh is not U and np.array_equal(fresh, U)
 
 
 def test_kick_matches_displacement_expm():
@@ -496,6 +506,24 @@ def test_evolve_kicked_equals_chain_of_validated_steps(
             ref.trace, ref.purity, ref.mean_photon_number())
         assert rec.fidelity == truncation_fidelity(ref, rec.kick_index, eps)
         DensityMatrix(rec.rho)
+
+
+@pytest.mark.parametrize("lam, nbar", [(0.05, 0.0), (0.1, 0.2), (0.0, 0.0)])
+def test_evolve_kicked_takes_each_trace_once(monkeypatch, lam, nbar):
+    # one trace per state, taken by the step that made it (the initial
+    # state's before the loop), and one batched pass for the records
+    calls = []
+    trace = fock._trace
+
+    def counted(rho):
+        calls.append(rho.ndim)
+        return trace(rho)
+
+    monkeypatch.setattr(fock, "_trace", counted)
+    monkeypatch.setattr(nqs, "_trace", counted)
+    kicks = 6
+    evolve_kicked(NqsParams(epsilon=0.1, kicks=kicks, cutoff=20, lam=lam, nbar=nbar))
+    assert sorted(calls) == [2] * (2 * kicks + 1) + [3]
 
 
 def test_evolve_kicked_validates_final_state(monkeypatch):

@@ -125,9 +125,6 @@ def _config_tokens(path, parser):
     return tokens
 
 
-_FLOAT_TEXT = {"csv": "{:.15g}".format, "json": float.__repr__}
-
-
 def _fmt_cell(v):
     """One CSV cell: floats to 15 significant digits, None empty, booleans
     lower case, anything else through str."""
@@ -136,7 +133,7 @@ def _fmt_cell(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return _FLOAT_TEXT["csv"](v)
+        return f"{v:.15g}"
     return str(v)
 
 
@@ -158,16 +155,13 @@ def _column_text(values, fmt):
     A float array is formatted once per distinct value, told apart by its
     bits so that -0.0 keeps its sign: a fixed parameter's column holds one
     value.  Values are formatted as Python objects, since numpy 2 prints a
-    float64 as np.float64(...).  A column of finite floats takes one
-    formatter; any other column is formatted value by value.
+    float64 as np.float64(...).
     """
     if isinstance(values, np.ndarray) and values.dtype == float:
         bits, where = np.unique(values.view(np.int64), return_inverse=True)
         return np.array(_column_text(bits.view(float).tolist(), fmt), dtype=object)[where].tolist()
     if isinstance(values, np.ndarray):
         values = values.tolist()
-    if set(map(type, values)) == {float} and all(map(math.isfinite, values)):
-        return list(map(_FLOAT_TEXT[fmt], values))
     return list(map(_CELL_TEXT[fmt], values))
 
 
@@ -257,7 +251,7 @@ def cmd_lqs(args):
     r_sq_range = ((0.0 <= r_sq) & (r_sq <= 1.0),
                   lambda i: f"--r-sq must lie in [0, 1], got {r_sq[i].item()}")
     with np.errstate(invalid="ignore"):  # r_sq outside [0, 1] fails r_sq_range first
-        r_mag = np.sqrt(r_sq)
+        r_mag = np.sqrt(r_sq) + 0.0  # + 0.0 turns sqrt(-0.0) into 0.0, as ** 0.5 did
     t, checks = _domain(alpha, gamma_bs, r_mag, eta)
     a = np.abs(alpha)
     f_closed = _closed_form(a, eta, gamma_bs, r_mag, t, [r_sq_range, *checks])

@@ -143,13 +143,14 @@ def _closed_form(a, eta, gamma_bs, r_mag, t, checks=()):
     the herald has nonzero probability.  F = 1 - loss/((1 + R)(loss + t^2
     (1 + R))) with R = 1/|alpha|^2 and loss = x r^2 + Gamma uses only
     + - * /, which round alike for Python floats and float64 arrays, so one
-    point and a whole axis give the same bits; R = inf at alpha = 0 gives
-    exactly 1.
+    point and a whole axis give the same bits.  Below the smallest normal
+    float, |alpha|^2 is taken as that float: R stays finite, so t = 0 gives
+    no 0 * inf, and F is exactly 1, as it is at alpha = 0.
     """
     with np.errstate(all="ignore"):  # points that fail a check are never returned
         a2, r2, t2 = a * a, r_mag * r_mag, t * t
         defined = _herald_bracket(a2, eta, gamma_bs, r2, t2) != 0
-        R = np.divide(1.0, a2)  # a float64 even for a Python float, so 1/0 is inf
+        R = 1.0 / np.maximum(a2, sys.float_info.min)
         loss = _loss_commutator(eta, gamma_bs) * r2 + gamma_bs
         f = 1.0 - loss / ((1.0 + R) * (loss + t2 * (1.0 + R)))
     _first_failure([*checks, (defined, lambda i: (

@@ -278,9 +278,9 @@ def unitary_kerr_step(rho_in, tau):
     return DensityMatrix(_kerr(rho_in.elements, tau))
 
 
-# A trajectory builds one kick matrix, and a study reruns few (eps, cutoff)
-# points; a cutoff-40 matrix holds 1681 complex entries.
-@functools.lru_cache(maxsize=4)
+# One entry: trajectories rerun at one (eps, cutoff) point, as in the
+# nqs-long benchmark, reuse it; a scan over fresh points never hits a cache.
+@functools.lru_cache(maxsize=1)
 def kick_unitary(eps, cutoff):
     """Displacement matrix of one kick, U = D(-i eps), in closed form.
 
@@ -290,8 +290,8 @@ def kick_unitary(eps, cutoff):
     triangle is evaluated at once over its index arrays, its Laguerre values
     from one recurrence, and mirrored into the upper.  Raises
     FloatingPointError if an element is not finite, which happens where eps
-    is far outside the weak-kick regime.  Cached per (eps, cutoff); the
-    result is read-only.
+    is far outside the weak-kick regime.  The last (eps, cutoff) is
+    cached; the result is read-only.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")

@@ -344,6 +344,7 @@ _NQS = ["nqs", "--epsilon", "0.1", "--kicks", "2", "--cutoff", "10"]
     (_NQS + ["--nbar", "nan"], "nbar"),
     (_NQS + ["--tau-k", "inf"], "tau_k"),
     (_LQS + ["--gamma-bs", "0.1", "--r-sq", "0"], "r_mag = 0"),
+    (_LQS + ["--gamma-bs", "0.1", "--r-sq", "-0"], "r_mag = 0,"),
     (["lqs", "--alpha", "0:1:3", "--eta", "1", "--gamma-bs", "0.3", "--r-sq", "0.7"],
      "F is undefined: the heralding event has probability zero"),
     (["lqs", "--alpha", "1e200", "--eta", "0.9", "--gamma-bs", "0.1", "--r-sq", "0.5"], "alpha"),

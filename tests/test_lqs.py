@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qscissors.lqs import (
@@ -256,6 +256,13 @@ def test_closed_form_monotone_in_bs_loss():
                     prev = f
 
 
+@pytest.mark.parametrize("alpha", [5.332605467414258e-155, 1e-160, 1.5e-154])
+def test_closed_form_is_one_below_the_normal_float_range_at_t_zero(alpha):
+    # |alpha|^2 subnormal or just normal with t = 0: 1/|alpha|^2 must not
+    # overflow into 0 * inf
+    assert fidelity_closed_form(LqsParams(alpha=alpha, eta=0.5, gamma_bs=0.0, r_mag=1.0)) == 1.0
+
+
 @st.composite
 def _lqs_points(draw):
     """(alpha, eta, Gamma, r^2) inside the domain: alpha may be 0 or
@@ -271,6 +278,7 @@ def _lqs_points(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(points=st.lists(_lqs_points(), min_size=1, max_size=20))
+@example(points=[(5.332605467414258e-155, 0.5, 0.0, 1.0)])  # subnormal |alpha|^2 at t = 0
 def test_array_closed_forms_equal_scalar_bit_for_bit(points):
     # one expression serves a whole axis and one point: the array results
     # must be the scalar ones exactly, and a point where F is undefined

@@ -344,10 +344,10 @@ _NQS = ["nqs", "--epsilon", "0.1", "--kicks", "2", "--cutoff", "10"]
     (_NQS + ["--nbar", "nan"], "nbar"),
     (_NQS + ["--tau-k", "inf"], "tau_k"),
     (_LQS + ["--gamma-bs", "0.1", "--r-sq", "0"], "r_mag = 0"),
-    (_LQS + ["--gamma-bs", "0.1", "--r-sq", "-0"], "r_mag = 0,"),
     (["lqs", "--alpha", "0:1:3", "--eta", "1", "--gamma-bs", "0.3", "--r-sq", "0.7"],
      "F is undefined: the heralding event has probability zero"),
     (["lqs", "--alpha", "1e200", "--eta", "0.9", "--gamma-bs", "0.1", "--r-sq", "0.5"], "alpha"),
+    (_LQS + ["--gamma-bs", "0.1", "--r-sq", "-0"], "r_mag = 0,"),
 ])
 def test_out_of_domain_inputs_exit_2(capsys, argv, field):
     with warnings.catch_warnings(record=True) as caught:

@@ -18,6 +18,7 @@ success, 1 verification/runtime failure, 2 usage error.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -59,8 +60,11 @@ def parse_seed(text):
     return int(text)
 
 
+@functools.cache
 def _build_parser():
-    """The top-level parser and its subparsers by name."""
+    """The top-level parser and its subparsers by name, built on the first
+    call and reused, since argparse keeps no state between parse_args
+    calls."""
     ap = argparse.ArgumentParser(prog="qscissors", description=__doc__.split("\n\n")[0],
                                  allow_abbrev=False)
     ap.add_argument("--version", action="version", version=f"qscissors {__version__}")

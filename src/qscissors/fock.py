@@ -2,11 +2,13 @@
 
 States, ladder operators and beam-splitter unitaries on photon-number-
 truncated Hilbert spaces.  All matrices are dense; the cutoffs used here (a
-few tens of levels) make sparsity pointless.  A beam-splitter unitary lives
-on its own two modes and is exponentiated one total-photon-number block at
-a time, so no matrix exponential is larger than the shorter mode's
-dimension; the multi-mode states it acts on are plain amplitude tensors,
-one axis per mode.
+few tens of levels) make sparsity pointless.  Every unitary is exp(-iH) of
+a Hermitian generator, computed by _expm_hermitian from one batched
+np.linalg.eigh.  A beam-splitter unitary lives on its own two modes; its
+generator conserves the total photon number, so its blocks of fixed total
+are zero-padded into one stack and exponentiated in one call, no block
+larger than the shorter mode's dimension.  The multi-mode states it acts
+on are plain amplitude tensors, one axis per mode.
 
 Per-diagonal propagators, of the damped Kerr steps and of RK4 alike, have
 one format: a (d, d, d) stack whose block x acts on the entries
@@ -32,16 +34,14 @@ class CutoffError(RuntimeError):
     """Raised when a Fock cutoff is too small for the requested evolution."""
 
 
-def check_trace_drift(rho_in, rho_out, what):
-    """Raise CutoffError if `what` moved the trace from rho_in to rho_out by
-    more than LEAKAGE_TOL: trace-preserving evolution on a truncated space
-    loses trace only by pushing population past the cutoff."""
-    _checked_trace(float(_trace(rho_in)), rho_out, what)
-
-
 def _checked_trace(tr_in, rho_out, what):
-    """The trace of rho_out, after check_trace_drift's check against tr_in,
-    the trace of the state `what` started from."""
+    """The trace of rho_out, after checking it against tr_in, the trace of
+    the state `what` started from.
+
+    Raises CutoffError if the trace moved by more than LEAKAGE_TOL:
+    trace-preserving evolution on a truncated space loses trace only by
+    pushing population past the cutoff.
+    """
     tr_out = float(_trace(rho_out))
     drift = abs(tr_out - tr_in)
     if not drift <= LEAKAGE_TOL:  # a nan drift fails too
@@ -207,6 +207,17 @@ def annihilation_matrix(cutoff):
     return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), 1).astype(complex)
 
 
+def _expm_hermitian(h):
+    """exp(-ih) of a Hermitian matrix, or of each matrix of a (..., m, m) stack.
+
+    One batched eigh, h = V diag(lambda) V^dag, then V diag(e^{-i lambda})
+    V^dag.  On a degenerate eigenvalue V is fixed only up to a unitary mix
+    of its eigenvectors, which leaves the product unchanged.
+    """
+    lam, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * lam)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def beam_splitter_unitary(t, r, d_i, d_j):
     """Beam-splitter unitary on two modes i and j of dimensions d_i and d_j.
 
@@ -215,11 +226,15 @@ def beam_splitter_unitary(t, r, d_i, d_j):
     The pair must be lossless: |t|^2 + |r|^2 = 1.
 
     The returned matrix is indexed like np.kron of mode i with mode j.  The
-    truncated generator conserves n_i + n_j, so it is exponentiated one
-    block of fixed total photon number at a time.
+    truncated generator conserves n_i + n_j, so it splits into d_i + d_j - 1
+    blocks of fixed total photon number N, each in the basis |k, N - k>.
+    The blocks, times i, are zero-padded to the shorter mode's dimension and
+    exponentiated as one Hermitian stack by _expm_hermitian; the padding
+    has eigenvalue 0, so each block's corner of the result is its own
+    exponential.  A block couples neighbouring basis states only, all with
+    the phase g = i r^*/|r|, so the stack is taken real symmetric, in the
+    basis g^k |k, N - k>, and the phases are put back on the result.
     """
-    from scipy.linalg import expm  # deferred: scipy.linalg dominates import time
-
     t = float(t)
     r = complex(r)
     if abs(t * t + abs(r) ** 2 - 1.0) > NORM_TOL:
@@ -227,14 +242,25 @@ def beam_splitter_unitary(t, r, d_i, d_j):
     if abs(r) == 0:
         return np.eye(d_i * d_j, dtype=complex)
     theta = np.arccos(min(t, 1.0))
-    phi = (r.conjugate() / abs(r)) * theta
+    g = 1j * r.conjugate() / abs(r)  # i phi = g theta
+    # [N, a]: position a of block N holds |k, N - k>, k counted up from the
+    # smallest k of the block; positions past the block's size are padding
+    m = min(d_i, d_j)
+    total = np.arange(d_i + d_j - 1)[:, None]
+    k = np.maximum(total - d_j + 1, 0) + np.arange(m)
+    inside = k <= np.minimum(total, d_i - 1)
+    # a_i^dag a_j raises k by one with weight sqrt((k+1)(N-k)), a_i a_j^dag
+    # lowers it with the same weight; zero where k + 1 is padding
+    w = np.sqrt((k[:, :-1] + 1) * (total - k[:, :-1]) * inside[:, 1:])
+    a = np.arange(m - 1)
+    h = np.zeros((total.size, m, m))
+    h[:, a + 1, a] = h[:, a, a + 1] = theta * w
+    gauge = g ** np.arange(m)  # g^a, not g^k: a block's common factor g^(k - a) cancels
+    blocks = _expm_hermitian(h) * gauge[:, None] * gauge.conj()
+    # scatter each block's corner to the pair-space indices k d_j + N - k
+    idx = k * d_j + total - k
+    both = inside[:, :, None] & inside[:, None, :]
     u = np.zeros((d_i * d_j, d_i * d_j), dtype=complex)
-    for total in range(d_i + d_j - 1):
-        k = np.arange(max(0, total - d_j + 1), min(total, d_i - 1) + 1)
-        # block basis |k, total-k>: a_i^dag a_j raises k by one with weight
-        # sqrt((k+1)(total-k)), a_i a_j^dag lowers it with the same weight
-        w = np.sqrt((k[:-1] + 1) * (total - k[:-1]))
-        gen = np.diag(phi * w, -1) - np.diag(np.conj(phi) * w, 1)
-        idx = k * d_j + total - k  # pair-space index of |k, total-k>
-        u[np.ix_(idx, idx)] = expm(gen)
+    u[np.broadcast_to(idx[:, :, None], both.shape)[both],
+      np.broadcast_to(idx[:, None, :], both.shape)[both]] = blocks[both]
     return u

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, _apply_diagonal_propagators, annihilation_matrix, check_trace_drift
+from .fock import (DensityMatrix, _apply_diagonal_propagators, _checked_trace, _trace,
+                   annihilation_matrix)
 
 
 @dataclass
@@ -131,5 +132,5 @@ def integrate(rho0, tau_total, p, cfg=None):
     out = _apply_diagonal_propagators(rho, np.linalg.matrix_power(step, n_steps))
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite values in RK4 integration")
-    check_trace_drift(rho, out, f"RK4 over tau={tau_total}")
+    _checked_trace(float(_trace(rho)), out, f"RK4 over tau={tau_total}")
     return DensityMatrix(out)

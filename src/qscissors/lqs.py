@@ -19,6 +19,7 @@ from .fock import FockVector, beam_splitter_unitary, coherent_amplitudes, cohere
 
 _COEF_TOL = 1e-10
 _ALPHA_MAX = math.sqrt(sys.float_info.max)  # largest |alpha| whose square is finite
+_LOG_MAX = math.log(sys.float_info.max)  # largest argument of a finite math.exp
 
 
 @dataclass
@@ -164,29 +165,39 @@ def fidelity_unsimplified(p):
 
     Same quantity as fidelity_closed_form, kept deliberately unsimplified
     (the overlap's exponential intact, times N^2 from
-    normalization_closed_form) as an internal consistency route.
+    normalization_closed_form) as an internal consistency route.  Raises
+    FloatingPointError where that exponential, e^{x|alpha|^2}, overflows.
     """
-    n2 = normalization_closed_form(p) ** 2  # raises where the herald has probability zero
+    n = normalization_closed_form(p)  # raises where the herald has probability zero
     a2 = abs(p.alpha) ** 2
     if a2 == 0:
         return 1.0
     r2, t2, x, G = p.r_mag**2, p.t**2, p.x, p.gamma_bs
+    if x * a2 > _LOG_MAX:
+        raise FloatingPointError(f"e^(x|alpha|^2) overflows a float at |alpha|^2 = {a2:.6g}, "
+                                 f"x = {x:.6g}")
     overlap = p.eta * r2 * math.exp(x * a2) * (t2 * (a2 + 1.0) + a2 * (r2 * x + G) / (1.0 + a2))
-    return overlap * n2
+    return overlap * n * n  # N^2 alone overflows at a subnormal |alpha|^2 with t = 0
 
 
 def normalization_closed_form(p):
     """Normalization N of the conditional scissors output, in closed form.
 
     N^-2 = eta r^2 e^{x|alpha|^2} (t^2 (1 + |alpha|^2) + |alpha|^2 (r^2 x + Gamma)),
-    evaluated in log space so that N stays finite where e^{x|alpha|^2}
-    alone overflows, and equal to (eta r^2 t^2)^{-1/2} at alpha = 0.
+    equal to (eta r^2 t^2)^{-1/2} at alpha = 0.  N is e^{-x|alpha|^2/2}
+    over the square root of the bracket, so it stays finite where
+    e^{x|alpha|^2} alone overflows and keeps its last digits where the
+    bracket is tiny.  Where e^{-x|alpha|^2/2} falls below the normal float
+    range, N is evaluated in log space instead.
     """
     a = abs(p.alpha)
     a2 = a * a
     bracket = _herald_bracket(a2, p.eta, p.gamma_bs, p.r_mag * p.r_mag, p.t * p.t)
     if bracket == 0:
         raise ValueError("N is undefined: the heralding event has probability zero")
+    decay = math.exp(-0.5 * p.x * a2)
+    if decay >= sys.float_info.min:
+        return decay / math.sqrt(bracket)
     return math.exp(-0.5 * (p.x * a2 + math.log(bracket)))
 
 
@@ -293,8 +304,9 @@ def lqs_projection_oracle(alpha, t, r, cutoff, t2=None, r2=None):
     first-mode state with the outcome probability.  A second (t2, r2) pair
     makes the BSs distinct; by default they are identical.  Each splitter's
     unitary acts on its own mode pair by contraction over those two axes of
-    the (2, d, d) amplitude tensor.  Raises ValueError where the outcome has
-    probability zero.
+    the (2, d, d) amplitude tensor; the second splitter, built in full, is
+    contracted only through its <1|<0| row, the one outcome kept.  Raises
+    ValueError where the outcome has probability zero.
     """
     if t2 is None:
         t2, r2 = t, r
@@ -305,8 +317,7 @@ def lqs_projection_oracle(alpha, t, r, cutoff, t2=None, r2=None):
     u1 = beam_splitter_unitary(t, r, 2, d).reshape(2, d, 2, d)
     u2 = beam_splitter_unitary(t2, r2, d, d).reshape(d, d, d, d)
     psi = np.tensordot(u1, psi, axes=([2, 3], [0, 1]))
-    psi = np.tensordot(psi, u2, axes=([1, 2], [2, 3]))
-    cond = psi[:, 1, 0]
+    cond = np.tensordot(psi, u2[1, 0], axes=([1, 2], [0, 1]))
     prob = float(np.vdot(cond, cond).real)
     if prob < 1e-14:
         raise ValueError(f"zero-probability outcome (p = {prob:.3e})")

@@ -160,15 +160,13 @@ def suite_nqs_rk4(seed):
 
 def suite_nqs_kick(seed):
     """Closed-form kick matrix vs the exponentiated displacement generator."""
-    from scipy.linalg import expm  # deferred: scipy.linalg dominates import time
-
     dev = []
     cutoff = 30
     a = fock.annihilation_matrix(cutoff)
     interior = slice(0, cutoff - 10 + 1)
     for eps in (0.05, 0.1, 0.5):
         closed = nqs.kick_unitary(eps, cutoff)
-        brute = expm(-1j * eps * (a + a.conj().T))
+        brute = fock._expm_hermitian(eps * (a + a.conj().T))
         dev.append(np.max(np.abs(closed[interior, interior] - brute[interior, interior])))
     eps = 0.1
     closed_f = np.exp(-eps**2) * (np.cos(eps) + eps * np.sin(eps)) ** 2

@@ -279,6 +279,33 @@ def test_config_output_matches_flags(tmp_path, capsys, doc, flags):
     assert capsys.readouterr().out == want
 
 
+def test_calls_in_one_process_match_fresh_interpreters(tmp_path, capsys):
+    # the parser is built once and reused: successive main calls, a usage
+    # error and a --config call among them, must each print exactly what
+    # the same command prints in a fresh interpreter
+    cfg = _write_config(tmp_path, {"alpha": "0:1:3", "eta": 0.9, "gamma-bs": 0.02})
+    calls = [
+        ["lqs", "--alpha", "0:2:5", "--eta", "0.8", "--gamma-bs", "0.02", "--r-sq", "0.49"],
+        ["nqs", "--epsilon", "0.1", "--lambda", "0.01", "--kicks", "3", "--cutoff", "15",
+         "--format", "json"],
+        ["verify", "--suite", "lqs-ppb", "--seed", "7"],
+        ["lqs", "--alpha", "1", "--eta", "0.9", "--gamma", "0.02", "--r-sq", "0.49"],
+        ["lqs", "--config", cfg, "--r-sq", "0.5", "--format", "json"],
+        ["verify", "--suite", "no-such-suite"],
+        ["nqs", "--config", cfg],
+    ]
+    src = os.path.dirname(os.path.dirname(qscissors.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    for argv in calls:
+        rc = _exit_code(argv)
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "qscissors.cli", *argv], env=env,
+                               capture_output=True, timeout=60)  # bytes: CSV ends rows in \r\n
+        assert ((rc, got.out.encode(), got.err.encode())
+                == (fresh.returncode, fresh.stdout, fresh.stderr)), argv
+
+
 def test_out_unwritable_exits_2(tmp_path, capsys):
     base = ["lqs", "--alpha", "0.5", "--eta", "1", "--gamma-bs", "0", "--r-sq", "0.5"]
     for out in (tmp_path, tmp_path / "no" / "such.csv"):
@@ -496,21 +523,24 @@ def test_nqs_lossless_single_kick_fidelity(capsys):
     assert abs(float(rows[3][2]) - want) < 1e-9
 
 
-def test_import_defers_scipy():
-    # lqs and nqs runs never need expm or the physical constants, so a fresh
-    # interpreter must not pay for scipy.linalg or scipy.constants; RK4
-    # integration is numpy-only and must not load them either
+def test_import_defers_scipy(tmp_path):
+    # the package is numpy-only: importing it, RK4 integration, the
+    # three-mode projection oracle and every qscissors verify suite must
+    # leave no scipy module loaded in a fresh interpreter
     src = os.path.dirname(os.path.dirname(qscissors.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
     code = ("import sys, numpy as np, qscissors, qscissors.cli\n"
             "from qscissors.lindblad import integrate\n"
+            "from qscissors.lqs import lqs_projection_oracle\n"
             "from qscissors.nqs import NqsParams\n"
             "integrate(np.diag([0.5, 0.5, 0.0]).astype(complex), 0.1,\n"
             "          NqsParams(epsilon=0.1, kicks=1, cutoff=2, lam=0.2, nbar=0.1))\n"
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.constants') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
+            "lqs_projection_oracle(0.5, 0.6, 0.8j, 12)\n"
+            "assert qscissors.cli.main(['verify', '--out', sys.argv[1]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "verify.csv")],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
 
 

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -14,9 +14,10 @@ from qscissors.fock import (
     DensityMatrix,
     FockVector,
     _apply_diagonal_propagators,
+    _checked_trace,
+    _expm_hermitian,
     annihilation_matrix,
     beam_splitter_unitary,
-    check_trace_drift,
     coherent_state,
 )
 
@@ -51,11 +52,12 @@ def test_density_matrix_validation():
 
 def test_trace_drift_guard():
     rho = np.diag([0.7, 0.3]).astype(complex)
-    check_trace_drift(rho, rho + 1e-9 * np.eye(2) / 2, "step")  # within 1e-8
+    out = rho + 1e-9 * np.eye(2) / 2
+    assert abs(_checked_trace(1.0, out, "step") - (1.0 + 1e-9)) < 1e-15  # within 1e-8
     with pytest.raises(CutoffError, match="^step: trace drifted by 1.000e-07"):
-        check_trace_drift(rho, rho + 1e-7 * np.eye(2) / 2, "step")
+        _checked_trace(1.0, rho + 1e-7 * np.eye(2) / 2, "step")
     with pytest.raises(CutoffError, match="^step: trace drifted by nan"):
-        check_trace_drift(rho, np.full((2, 2), np.nan), "step")
+        _checked_trace(1.0, np.full((2, 2), np.nan), "step")
 
 
 def test_pure_state_round_trip():
@@ -160,6 +162,12 @@ def test_beam_splitter_heisenberg_action():
     d1=st.integers(2, 6),
     swap=st.booleans(),
 )
+# the shapes lqs_projection_oracle builds: (2, d) and (d, d) at the
+# benchmark's cutoff 12 and at qscissors verify's cutoff 15
+@example(t_sq=0.37, r_phase=np.pi / 2, d0=2, d1=14, swap=False)
+@example(t_sq=0.63, r_phase=1.1, d0=2, d1=14, swap=True)
+@example(t_sq=0.5, r_phase=np.pi / 2, d0=14, d1=14, swap=False)
+@example(t_sq=0.21, r_phase=4.0, d0=17, d1=17, swap=False)
 def test_beam_splitter_blocks_equal_full_space_expm(t_sq, r_phase, d0, d1, swap):
     # the photon-number-block exponential must equal expm of the generator
     # assembled on the whole pair space from kron'd ladders
@@ -177,6 +185,35 @@ def test_beam_splitter_blocks_equal_full_space_expm(t_sq, r_phase, d0, d1, swap)
     assert np.max(np.abs(U.conj().T @ U - eye)) < 1e-12
     n_tot = ai.conj().T @ ai + aj.conj().T @ aj
     assert np.max(np.abs(U @ n_tot - n_tot @ U)) < 1e-12
+
+
+@st.composite
+def _hermitian_stacks(draw):
+    """(n, m, m) Hermitian stacks: random blocks, some zero-padded below size
+    m like the beam-splitter stack, some with repeated eigenvalues."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 19))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 10.0]))
+    a = rng.normal(size=(n, m, m)) + 1j * rng.normal(size=(n, m, m))
+    h = scale * (a + a.conj().swapaxes(-1, -2)) / 2
+    for b in range(n):
+        kind = draw(st.sampled_from(["full", "padded", "degenerate"]))
+        if kind == "padded":  # size 0 leaves an all-zero block
+            s = draw(st.integers(0, m))
+            h[b, s:, :] = h[b, :, s:] = 0
+        elif kind == "degenerate":
+            q, _ = np.linalg.qr(a[b])
+            lam = rng.choice([-scale, 0.0, scale], size=m)
+            h[b] = (q * lam) @ q.conj().T
+    return h
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=_hermitian_stacks())
+def test_expm_hermitian_equals_scipy_expm(h):
+    got = _expm_hermitian(h)
+    want = np.array([expm(-1j * block) for block in h])
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_beam_splitter_rejects_lossy_pair():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qscissors import lqs
 from qscissors.lqs import (
     LqsParams,
     env_gram_oracle,
@@ -228,6 +229,26 @@ def test_general_bs_reflectionless_first_splitter():
 def test_unsimplified_small_alpha_limit():
     p = LqsParams(alpha=1e-4, eta=0.7, gamma_bs=0.05, r_mag=0.6)
     assert abs(fidelity_unsimplified(p) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("alpha", [5.33e-155, 1e-160, 1.5e-154, 1e-150])
+def test_unsimplified_tiny_alpha_without_transmission(monkeypatch, alpha):
+    # t = 0: N^-2 = eta r^2 e^{x|alpha|^2} x |alpha|^2, so N^2 overflows a
+    # float at the first two points, and a log-space N loses digits at all
+    # four; the unsimplified route must still give F = 1 without the
+    # closed form
+    p = LqsParams(alpha=alpha, eta=0.5, gamma_bs=0.0, r_mag=1.0)
+    assert p.t == 0.0
+    assert fidelity_closed_form(p) == 1.0
+    monkeypatch.setattr(lqs, "_closed_form", None)
+    assert abs(fidelity_unsimplified(p) - 1.0) < 1e-15
+
+
+def test_unsimplified_exponential_overflow_names_alpha():
+    # x|alpha|^2 = 800: the overlap's e^{x|alpha|^2} is past the float range
+    p = LqsParams(alpha=40.0, eta=0.5, gamma_bs=0.0, r_mag=1.0)
+    with pytest.raises(FloatingPointError, match=r"\|alpha\|\^2 = 1600, x = 0.5"):
+        fidelity_unsimplified(p)
 
 
 def test_gram_oracle_noiseless_normalization():

@@ -41,7 +41,6 @@ from .nqs import (
     apply_kick,
     evolve_kicked,
     kick_unitary,
-    truncation_fidelity,
     unitary_kerr_step,
 )
 from .specfun import (

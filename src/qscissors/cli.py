@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .fock import CutoffError
 from .lqs import _closed_form, _domain, _ppb
-from .nqs import NqsParams, evolve_kicked
+from .nqs import NqsParams, _trajectory
 from .verify import SUITES
 
 
@@ -282,12 +282,9 @@ def cmd_nqs(args):
     p = NqsParams(**kw)
     if args.out:
         _check_out(args.out)
-    records = evolve_kicked(p)
-    corner = np.array([r.rho[:2, :2] for r in records])
-    columns = {k: [getattr(r, k) for r in records]
-               for k in ("kick_index", "tau", "fidelity", "trace", "purity", "mean_n")}
-    columns.update(rho_00=corner[:, 0, 0].real, re_rho_01=corner[:, 0, 1].real,
-                   im_rho_01=corner[:, 0, 1].imag, rho_11=corner[:, 1, 1].real)
+    states, columns = _trajectory(p)
+    columns.update(rho_00=states[:, 0, 0].real, re_rho_01=states[:, 0, 1].real,
+                   im_rho_01=states[:, 0, 1].imag, rho_11=states[:, 1, 1].real)
     meta = {"command": "nqs", "version": __version__, "format": args.fmt,
             "params": {"epsilon": p.epsilon, "lambda": p.lam, "nbar": p.nbar,
                        "tau_k": p.tau_k, "kicks": p.kicks, "cutoff": p.cutoff}}

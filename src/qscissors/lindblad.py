@@ -114,6 +114,7 @@ def integrate(rho0, tau_total, p, cfg=None):
 
     Raises:
         CutoffError: if the trace drifts by more than fock.LEAKAGE_TOL.
+        FloatingPointError: if the result is not finite (lam far past the Kerr scale).
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -128,8 +129,9 @@ def integrate(rho0, tau_total, p, cfg=None):
     hL = h * _generator_blocks(d, p.lam, p.nbar)
     k = np.arange(d)
     eye = np.eye(d) * (k < d - k[:, None, None])  # block x: identity of size d - x
-    step = eye + hL @ (eye + (hL / 2) @ (eye + (hL / 3) @ (eye + hL / 4)))
-    out = _apply_diagonal_propagators(rho, np.linalg.matrix_power(step, n_steps))
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite entry
+        step = eye + hL @ (eye + (hL / 2) @ (eye + (hL / 3) @ (eye + hL / 4)))
+        out = _apply_diagonal_propagators(rho, np.linalg.matrix_power(step, n_steps))
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite values in RK4 integration")
     _checked_trace(float(_trace(rho)), out, f"RK4 over tau={tau_total}")

@@ -129,9 +129,9 @@ def fidelity_closed_form(p):
 
     Exactly 1 at alpha = 0 (vacuum truncates to itself).  Undefined, and a
     ValueError, where the heralding event has probability zero with a
-    coherent input (_herald_bracket is zero): r_mag = 0 (no photon reaches
-    the detectors; at any alpha, eta and Gamma, as in
-    normalization_closed_form), or t = 0 at alpha = 0 or with lossless
+    coherent input: r_mag = 0 (no photon reaches the detectors; at any
+    alpha, eta and Gamma, as in normalization_closed_form), or
+    _herald_bracket is zero, which is t = 0 at alpha = 0 or with lossless
     splitters and ideal detectors.
     """
     return float(_closed_form(abs(p.alpha), p.eta, p.gamma_bs, p.r_mag, p.t))
@@ -150,7 +150,7 @@ def _closed_form(a, eta, gamma_bs, r_mag, t, checks=()):
     """
     with np.errstate(all="ignore"):  # points that fail a check are never returned
         a2, r2, t2 = a * a, r_mag * r_mag, t * t
-        defined = _herald_bracket(a2, eta, gamma_bs, r2, t2) != 0
+        defined = (r_mag != 0) & (_herald_bracket(a2, eta, gamma_bs, r2, t2) != 0)
         R = 1.0 / np.maximum(a2, sys.float_info.min)
         loss = _loss_commutator(eta, gamma_bs) * r2 + gamma_bs
         f = 1.0 - loss / ((1.0 + R) * (loss + t2 * (1.0 + R)))
@@ -166,7 +166,7 @@ def fidelity_unsimplified(p):
     Same quantity as fidelity_closed_form, kept deliberately unsimplified
     (the overlap's exponential intact, times N^2 from
     normalization_closed_form) as an internal consistency route.  Raises
-    FloatingPointError where that exponential, e^{x|alpha|^2}, overflows.
+    FloatingPointError where that exponential, e^{x|alpha|^2}, or N overflows.
     """
     n = normalization_closed_form(p)  # raises where the herald has probability zero
     a2 = abs(p.alpha) ** 2
@@ -176,8 +176,10 @@ def fidelity_unsimplified(p):
     if x * a2 > _LOG_MAX:
         raise FloatingPointError(f"e^(x|alpha|^2) overflows a float at |alpha|^2 = {a2:.6g}, "
                                  f"x = {x:.6g}")
-    overlap = p.eta * r2 * math.exp(x * a2) * (t2 * (a2 + 1.0) + a2 * (r2 * x + G) / (1.0 + a2))
-    return overlap * n * n  # N^2 alone overflows at a subnormal |alpha|^2 with t = 0
+    rest = t2 * (a2 + 1.0) + a2 * (r2 * x + G) / (1.0 + a2)
+    # eta r^2 N^2 as (sqrt(eta) r_mag N)^2: r_mag may be subnormal, N^2 overflow
+    front_n = p.r_mag * n * math.sqrt(p.eta)
+    return (math.exp(x * a2) * front_n) * (rest * front_n)
 
 
 def normalization_closed_form(p):
@@ -185,29 +187,34 @@ def normalization_closed_form(p):
 
     N^-2 = eta r^2 e^{x|alpha|^2} (t^2 (1 + |alpha|^2) + |alpha|^2 (r^2 x + Gamma)),
     equal to (eta r^2 t^2)^{-1/2} at alpha = 0.  N is e^{-x|alpha|^2/2}
-    over the square root of the bracket, so it stays finite where
-    e^{x|alpha|^2} alone overflows and keeps its last digits where the
-    bracket is tiny.  Where e^{-x|alpha|^2/2} falls below the normal float
-    range, N is evaluated in log space instead.
+    over the square root of the bracket, then over sqrt(eta) and r_mag one
+    at a time, so it stays finite where e^{x|alpha|^2} alone overflows and
+    keeps its last digits where the bracket or eta r^2 is tiny; it is taken
+    in log space where e^{-x|alpha|^2/2} is below the normal float range.
+    Raises FloatingPointError where N overflows.
     """
     a = abs(p.alpha)
     a2 = a * a
     bracket = _herald_bracket(a2, p.eta, p.gamma_bs, p.r_mag * p.r_mag, p.t * p.t)
-    if bracket == 0:
+    if p.r_mag == 0 or bracket == 0:
         raise ValueError("N is undefined: the heralding event has probability zero")
     decay = math.exp(-0.5 * p.x * a2)
-    if decay >= sys.float_info.min:
-        return decay / math.sqrt(bracket)
-    return math.exp(-0.5 * (p.x * a2 + math.log(bracket)))
+    if decay < sys.float_info.min:  # bracket >= x|alpha|^2 keeps this N below 1e176
+        log_n = -0.5 * p.x * a2 - (0.5 * (math.log(bracket) + math.log(p.eta)) + math.log(p.r_mag))
+        return math.exp(log_n)
+    n = decay / math.sqrt(bracket) / math.sqrt(p.eta) / p.r_mag
+    if n == math.inf:
+        raise FloatingPointError(f"N overflows a float at eta = {p.eta:.6g}, r_mag = {p.r_mag:.6g}")
+    return n
 
 
 def _herald_bracket(a2, eta, gamma_bs, r2, t2):
-    """eta r^2 (t^2 (1 + |alpha|^2) + |alpha|^2 (r^2 x + Gamma)), which is
-    N^-2 e^{-x|alpha|^2}: zero exactly where the herald has probability zero.
-    For |alpha| > 0 it equals eta r^2 |alpha|^2 times the denominator
-    loss + t^2 (1 + 1/|alpha|^2) of fidelity_closed_form.  Takes the
-    squares a2 = |alpha|^2, r2 = r_mag^2 and t2 = t^2, scalars or arrays."""
-    return eta * r2 * (t2 * (1.0 + a2) + a2 * (r2 * _loss_commutator(eta, gamma_bs) + gamma_bs))
+    """t^2 (1 + |alpha|^2) + |alpha|^2 (r^2 x + Gamma) = N^-2 e^{-x|alpha|^2}/(eta r^2),
+    zero where the herald has probability zero unless r_mag is.  For
+    |alpha| > 0 it is |alpha|^2 times the denominator loss + t^2 (1 +
+    1/|alpha|^2) of fidelity_closed_form.  Takes the squares a2 = |alpha|^2,
+    r2 = r_mag^2 and t2 = t^2, scalars or arrays."""
+    return t2 * (1.0 + a2) + a2 * (r2 * _loss_commutator(eta, gamma_bs) + gamma_bs)
 
 
 def fidelity_ppb(alpha, eta):

@@ -16,13 +16,13 @@ that shrinks as k passes each entry's m.  The kick matrix takes every
 Laguerre value from one recurrence.  A damped step is one batched
 matrix-vector product over all diagonals.
 
-Each step, the kick and the fidelity have one array core (_damped, _kerr,
-_kick, _fidelity); the public functions wrap them around a validated
-DensityMatrix.  evolve_kicked runs the cores directly and validates the
-state twice, at the start and at the end of the trajectory: each damped
-step and each kick keeps its trace-drift guard, every core returns a
-Hermitian array by construction, and a non-positive final state raises
-ValueError.
+Each step and the kick have one array core (_damped, _kerr, _kick); the
+public functions wrap them around a validated DensityMatrix.  _trajectory
+runs the cores directly and validates the state twice, at the start and at
+the end: each damped step and each kick keeps its trace-drift guard, every
+core returns a Hermitian array by construction, and a non-positive final
+state raises ValueError.  Its states and scalar columns feed both
+evolve_kicked's records and qscissors nqs.
 """
 
 import functools
@@ -48,10 +48,9 @@ class NqsParams:
     tau_k, lam and nbar must be finite, tau_k positive and the others
     nonnegative; kicks >= 0 and cutoff >= 1.
 
-    Two corners of that domain fail on the thermal path (nbar > 0) with
-    FloatingPointError, "non-finite entries": lam below about cutoff/1.3e154
-    (damping_coefficients squares x/lam past the float range) and lam *
-    tau_k above about 1420 (the family's prefactor e^{lam tau_k/2} overflows).
+    The thermal path (nbar > 0) fails with FloatingPointError, "non-finite
+    entries", where lam is below about cutoff/9e307 (2 x/lam overflows) or
+    lam * tau_k above about 1420 (e^{lam tau_k/2} overflows).
 
     tau_k defaults to 1.0: the kick period only needs to be long enough
     for the detector/reservoir to act, but tau_k = 2*pi would be a full
@@ -336,22 +335,11 @@ def apply_kick(rho_in, U):
     return DensityMatrix(_kick(rho, U, float(_trace(rho)))[0])
 
 
-def truncation_fidelity(rho, k, eps):
-    """Overlap with the k-kick target qubit, from the 2x2 corner of rho.
-
-    cos^2(k eps) rho_00 + sin(2 k eps) Im rho_01 + sin^2(k eps) rho_11,
-    which is <psi_k|rho|psi_k> for the target psi_k = (cos(k eps),
-    -i sin(k eps)), clamped to [0, 1].
-    """
-    if rho.dim < 2:
-        raise ValueError("need at least a two-level state")
-    return float(_fidelity(rho.elements, k, eps))
-
-
 def _fidelity(rho, k, eps):
-    """Array core of truncation_fidelity over a (..., d, d) stack of states;
-    the kick counts k broadcast against the stack's leading axes.  The
-    squares are products: a scalar ** 2 and an array ** 2 can round apart."""
+    """Overlap with the k-kick target psi_k = (cos(k eps), -i sin(k eps)), clamped
+    to [0, 1]: cos^2(k eps) rho_00 + sin(2 k eps) Im rho_01 + sin^2(k eps) rho_11
+    for each state of a (..., d, d) stack, k broadcast against its leading axes.
+    The squares are products: a scalar ** 2 and an array ** 2 can round apart."""
     th = k * eps
     c, s = np.cos(th), np.sin(th)
     f = (
@@ -360,6 +348,34 @@ def _fidelity(rho, k, eps):
         + s * s * rho[..., 1, 1].real
     )
     return np.clip(f, 0.0, 1.0)
+
+
+def _trajectory(p, initial=None):
+    """evolve_kicked's (2K+1, d, d) states and a dict of their numpy columns
+    (kick_index, tau, fidelity, trace, purity, mean_n), in CSV order."""
+    d = p.cutoff + 1
+    rho0 = np.ones((1, 1)) if initial is None else initial.elements  # vacuum by default
+    if len(rho0) > d:
+        raise ValueError(f"initial state dim {len(rho0)} exceeds cutoff+1 = {d}")
+    states = np.zeros((2 * p.kicks + 1, d, d), dtype=complex)
+    states[0, : len(rho0), : len(rho0)] = rho0
+    DensityMatrix(states[0])
+    if p.nbar > 0 and p.cutoff < 20:
+        warnings.warn(f"cutoff {p.cutoff} is small for a thermal run; leakage checks may trip",
+                      stacklevel=3)  # past evolve_kicked, to its caller
+    if p.kicks:
+        U = kick_unitary(p.epsilon, p.cutoff)
+        kind = "zero" if p.nbar == 0 else "thermal"
+        tr = float(_trace(states[0]))  # each state's trace is taken once, by the step making it
+        for k in range(1, p.kicks + 1):
+            states[2 * k - 1], tr = _kick(states[2 * k - 2], U, tr)
+            states[2 * k], tr = _damped(states[2 * k - 1], p.lam, p.nbar, p.tau_k, kind, tr)
+        DensityMatrix(states[-1])  # end-of-trajectory validation
+    step = np.arange(len(states))
+    kick = (step + 1) // 2  # state i follows kick (i + 1) // 2
+    return states, {"kick_index": kick, "tau": (step // 2) * p.tau_k,
+                    "fidelity": _fidelity(states, kick, p.epsilon), "trace": _trace(states),
+                    "purity": _purity(states), "mean_n": _mean_n(states)}
 
 
 def evolve_kicked(p, initial=None):
@@ -371,12 +387,8 @@ def evolve_kicked(p, initial=None):
     yields 2K+1 records.  Fidelity in each record is measured against the
     k-kick target state with k = kicks applied so far.
 
-    The loop fills one (2K+1, d, d) array of states, each record's rho is a
-    view into it, and the records' scalars come from one pass over it.  The
-    state is validated as a DensityMatrix at the start and at the end; in
-    between it only passes through CPTP steps (the kick and the Kerr phases
-    unitary, the kick and the damped steps trace-checked) whose output is
-    Hermitian by construction.
+    Each record's rho is a view into one (2K+1, d, d) array of states,
+    validated as the module docstring describes.
 
     Args:
         p: NqsParams.
@@ -390,29 +402,7 @@ def evolve_kicked(p, initial=None):
         ValueError: if the final state is not Hermitian or has an eigenvalue
             below -fock.EIG_TOL.
     """
-    d = p.cutoff + 1
-    rho0 = np.ones((1, 1)) if initial is None else initial.elements  # vacuum by default
-    if len(rho0) > d:
-        raise ValueError(f"initial state dim {len(rho0)} exceeds cutoff+1 = {d}")
-    states = np.zeros((2 * p.kicks + 1, d, d), dtype=complex)
-    states[0, : len(rho0), : len(rho0)] = rho0
-    DensityMatrix(states[0])
-    if p.nbar > 0 and p.cutoff < 20:
-        warnings.warn(
-            f"cutoff {p.cutoff} is small for a thermal run; leakage checks may trip",
-            stacklevel=2,
-        )
-    if p.kicks:
-        U = kick_unitary(p.epsilon, p.cutoff)
-        kind = "zero" if p.nbar == 0 else "thermal"
-        tr = float(_trace(states[0]))  # each state's trace is taken once, by the step making it
-        for k in range(1, p.kicks + 1):
-            states[2 * k - 1], tr = _kick(states[2 * k - 2], U, tr)
-            states[2 * k], tr = _damped(states[2 * k - 1], p.lam, p.nbar, p.tau_k, kind, tr)
-        DensityMatrix(states[-1])  # end-of-trajectory validation
-    kick = (np.arange(len(states)) + 1) // 2  # record i follows kick (i + 1) // 2
-    columns = zip(_fidelity(states, kick, p.epsilon).tolist(), _trace(states).tolist(),
-                  _purity(states).tolist(), _mean_n(states).tolist(), kick.tolist())
-    return [EvolutionRecord(tau=(i // 2) * p.tau_k, rho=states[i], fidelity=f, trace=t,
-                            purity=pur, mean_n=n, kick_index=k)
-            for i, (f, t, pur, n, k) in enumerate(columns)]
+    states, columns = _trajectory(p, initial)
+    rows = zip(states, *(v.tolist() for v in columns.values()))
+    return [EvolutionRecord(tau=t, rho=rho, fidelity=f, trace=tr, purity=pur, mean_n=n,
+                            kick_index=k) for rho, k, t, f, tr, pur, n in rows]

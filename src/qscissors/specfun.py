@@ -78,7 +78,9 @@ def damping_coefficients(x, lam, nbar, tau):
         raise ValueError("nbar must be nonnegative")
     y = x / lam
     omega = 1 + 2 * nbar + 1j * y
-    delta = np.sqrt(1 - y * y + 2j * (1 + 2 * nbar) * y)
+    s = np.where(np.abs(y) > 1e150, np.abs(y), 1.0)  # y*y nears overflow: s leaves the root
+    u, v = y / s, 1 / s
+    delta = s * np.sqrt(v * v - u * u + 2j * (1 + 2 * nbar) * u * v)
     t_x = lam * delta * tau / 2
     em2 = np.exp(-2 * t_x)
     D = (omega + delta) + (delta - omega) * em2

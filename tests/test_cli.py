@@ -204,7 +204,7 @@ def test_memory_error_exits_1(monkeypatch, capsys, message, line):
     def refuse(p, initial=None):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "evolve_kicked", refuse)
+    monkeypatch.setattr(cli, "_trajectory", refuse)
     rc = main(["nqs", "--epsilon", "0.1", "--kicks", "1000000000000", "--cutoff", "40"])
     assert rc == 1
     out = capsys.readouterr()
@@ -375,6 +375,7 @@ _NQS = ["nqs", "--epsilon", "0.1", "--kicks", "2", "--cutoff", "10"]
      "F is undefined: the heralding event has probability zero"),
     (["lqs", "--alpha", "1e200", "--eta", "0.9", "--gamma-bs", "0.1", "--r-sq", "0.5"], "alpha"),
     (_LQS + ["--gamma-bs", "0.1", "--r-sq", "-0"], "r_mag = 0,"),
+    (["nqs", "--epsilon", "0.1", "--kicks", "2"], "missing required nqs parameter(s): cutoff"),
 ])
 def test_out_of_domain_inputs_exit_2(capsys, argv, field):
     with warnings.catch_warnings(record=True) as caught:
@@ -396,8 +397,6 @@ _ONE_KICK = ["nqs", "--kicks", "1", "--cutoff", "20"]
                  id="argv1-thermal step"),
     pytest.param(_NQS + ["--lambda", "0.1", "--nbar", "1e160"], "thermal step: trace drifted",
                  id="argv2-thermal step"),
-    pytest.param(_ONE_KICK + ["--epsilon", "0.1", "--lambda", "1e-200", "--nbar", "0.1"],
-                 "thermal propagator family at lambda=1e-200", id="tiny-lambda"),
     pytest.param(_ONE_KICK + ["--epsilon", "0.1", "--lambda", "1e300", "--nbar", "0.1"],
                  "thermal propagator family at lambda=1e+300", id="huge-lambda"),
     pytest.param(_ONE_KICK + ["--epsilon", "1e10"], "kick matrix at epsilon=1e+10",
@@ -415,6 +414,32 @@ def test_trace_loss_exits_1(capsys, argv, message):
     assert out.out == ""
     assert out.err.startswith(f"error: {message}") and out.err.count("\n") == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("lam", ["1e-150", "1e-153", "1e-200", "1e-300"])
+def test_tiny_lambda_thermal_run_exits_0(capsys, lam):
+    # (x/lambda)^2 is past the float range below lambda of about
+    # cutoff/1.3e154; the run must still succeed, and with so weak a
+    # coupling it is the lossless run to rounding
+    tables = []
+    for argv in (["--lambda", lam, "--nbar", "0.1"], ["--lambda", "0"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["nqs", "--epsilon", "0.1", "--kicks", "3", "--cutoff", "20"] + argv) == 0
+        assert caught == []
+        tables.append(np.array([row for row in csv.reader(
+            capsys.readouterr().out.splitlines()[1:])], dtype=float))
+    assert np.all(np.isfinite(tables[0]))
+    assert np.max(np.abs(tables[0] - tables[1])) < 1e-14
+
+
+def test_lqs_tiny_eta_and_reflection_exit_0(capsys):
+    # eta r^2 = 1e-400 is below the float range, but the herald's
+    # probability is not zero: F is defined, and at Gamma = 0 it is 1 - 1e-200/4
+    argv = ["lqs", "--alpha", "1", "--eta", "1e-200", "--gamma-bs", "0", "--r-sq", "1e-200"]
+    assert main(argv) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[1][rows[0].index("F_closed")] == "1"
 
 
 @pytest.mark.parametrize("gamma_bs, r_sq", [("0.1", "0.9"), ("0.3", "0.7")])

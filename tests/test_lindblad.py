@@ -1,5 +1,7 @@
 """Tests for the brute-force master-equation integrator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,20 @@ def test_integrate_trace_guard_on_stiff_problem():
     p = NqsParams(epsilon=0.0, kicks=0, cutoff=3, lam=5000.0)
     with pytest.raises(CutoffError):
         integrate(DensityMatrix(rho), 0.01, p)
+
+
+@pytest.mark.parametrize("lam", [1e100, 1e300])
+def test_integrate_non_finite_result_raises(lam):
+    # the RK4 step matrices overflow; the guard must report it, not a
+    # RuntimeWarning or a trace drift of nan
+    rho = np.zeros((11, 11), dtype=complex)
+    rho[2, 2] = 1.0
+    p = NqsParams(epsilon=0.0, kicks=0, cutoff=10, lam=lam)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FloatingPointError, match="non-finite values in RK4 integration"):
+            integrate(DensityMatrix(rho), 1.0, p, IntegratorConfig(dt=0.1))
+    assert caught == []
 
 
 def test_minimum_step_count():

@@ -3,6 +3,8 @@
 import cmath
 import math
 import re
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -122,6 +124,17 @@ def test_ppb_finite_where_alpha_fourth_power_overflows(alpha, eta):
     f = fidelity_ppb(alpha, eta)
     assert math.isfinite(f)
     assert abs(f - fidelity_closed_form(p)) < 1e-12
+
+
+def test_ppb_refuses_alpha_whose_square_overflows():
+    with pytest.raises(OverflowError, match=r"overflows a float at \|alpha\| = 1e\+200"):
+        fidelity_ppb(1e200, 0.9)
+
+
+def test_general_bs_degenerate_splitters_raise():
+    # reflectionless splitters send no amplitude to either output level
+    with pytest.raises(ValueError, match="degenerate beam splitters"):
+        truncated_state_general_bs(0.5, 1.0, 0.0, 1.0, 0.0)
 
 
 def test_general_bs_amplitudes():
@@ -249,6 +262,62 @@ def test_unsimplified_exponential_overflow_names_alpha():
     p = LqsParams(alpha=40.0, eta=0.5, gamma_bs=0.0, r_mag=1.0)
     with pytest.raises(FloatingPointError, match=r"\|alpha\|\^2 = 1600, x = 0.5"):
         fidelity_unsimplified(p)
+
+
+def _decimal_reference(p):
+    """(N, F) of `p` in 50-digit decimal arithmetic, from its float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a2 = Decimal(abs(p.alpha)) ** 2
+        eta, r2, t2 = Decimal(p.eta), Decimal(p.r_mag) ** 2, Decimal(p.t) ** 2
+        gamma = Decimal(p.gamma_bs)
+        x = eta * gamma + 1 - eta
+        bracket = t2 * (1 + a2) + a2 * (r2 * x + gamma)
+        n = (-x * a2 / 2).exp() / (eta * r2 * bracket).sqrt()
+        f = (t2 * (1 + a2) + a2 * (r2 * x + gamma) / (1 + a2)) / bracket
+        return n, f
+
+
+def _rel_dev(got, want):
+    return float(abs(Decimal(got) - want) / want)
+
+
+@pytest.mark.parametrize("alpha, eta, r_mag", [
+    (1.0, 1e-158, math.sqrt(1e-158)),
+    (1.0, 1e-161, math.sqrt(1e-161)),
+    (1.0, 1e-200, 1e-100),
+    (100.0, 1.0, 1e-310),
+])
+def test_herald_of_tiny_eta_and_reflection_matches_decimal(alpha, eta, r_mag):
+    # eta r^2 is subnormal or below the float range, while the herald's
+    # probability is not zero: N and both fidelity routes keep their digits
+    p = LqsParams(alpha=alpha, eta=eta, gamma_bs=0.0, r_mag=r_mag)
+    n, f = _decimal_reference(p)
+    assert _rel_dev(normalization_closed_form(p), n) < 1e-14
+    assert _rel_dev(fidelity_unsimplified(p), f) < 1e-14
+    assert _rel_dev(fidelity_closed_form(p), f) < 1e-14
+
+
+def test_normalization_in_log_space_matches_decimal():
+    # e^{-x|alpha|^2/2} is subnormal but N is a normal float, formed in log
+    # space, where it keeps about |ln N| ulps; the unsimplified fidelity's
+    # e^{x|alpha|^2} overflows there, which it reports
+    p = LqsParams(alpha=38.0, eta=1e-30, gamma_bs=0.0, r_mag=0.5)
+    n, _ = _decimal_reference(p)
+    got = normalization_closed_form(p)
+    assert got >= sys.float_info.min
+    assert _rel_dev(got, n) < 1e-12
+    with pytest.raises(FloatingPointError, match=r"e\^\(x\|alpha\|\^2\) overflows"):
+        fidelity_unsimplified(p)
+
+
+def test_normalization_overflow_raises():
+    # N is about 1e450: no float holds it, though F is defined
+    p = LqsParams(alpha=1.0, eta=1e-300, gamma_bs=0.0, r_mag=1e-300)
+    for f in (normalization_closed_form, fidelity_unsimplified):
+        with pytest.raises(FloatingPointError, match="N overflows a float at eta = 1e-300"):
+            f(p)
+    assert fidelity_closed_form(p) == 1.0
 
 
 def test_gram_oracle_noiseless_normalization():

@@ -18,13 +18,13 @@ from qscissors.fock import (
 from qscissors.nqs import (
     NqsParams,
     _family_indices,
+    _fidelity,
     _propagator_family,
     analytic_damped_step_thermal,
     analytic_damped_step_zero_T,
     apply_kick,
     evolve_kicked,
     kick_unitary,
-    truncation_fidelity,
     unitary_kerr_step,
 )
 from qscissors.specfun import damping_coefficients, sqrt_binomial_ratio
@@ -50,6 +50,11 @@ def test_params_rate_resolution():
                 NqsParams(**kw)
     with pytest.raises(ValueError):
         NqsParams(epsilon=0.1, kicks=5, cutoff=0)
+    for kw, message in (({"nbar": -0.1}, "nbar must be nonnegative"),
+                        ({"tau_k": 0.0}, "tau_k must be positive"),
+                        ({"kicks": -1}, "kicks must be nonnegative")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NqsParams(**{"epsilon": 0.1, "kicks": 5, "cutoff": 10, **kw})
     with pytest.warns(UserWarning):
         NqsParams(epsilon=0.5, kicks=1, cutoff=10)
 
@@ -194,13 +199,15 @@ def test_kick_on_vacuum_closed_form_fidelity():
     rho = DensityMatrix(np.diag([1.0] + [0.0] * 20))
     out = apply_kick(rho, kick_unitary(eps, 20))
     want = np.exp(-eps**2) * (np.cos(eps) + eps * np.sin(eps)) ** 2
-    assert abs(truncation_fidelity(out, 1, eps) - want) < 1e-13
+    assert abs(_fidelity(out.elements, 1, eps) - want) < 1e-13
 
 
 def test_apply_kick_dimension_mismatch():
     rho = _random_density(15, 5)
     with pytest.raises(ValueError):
         apply_kick(rho, kick_unitary(0.1, 10))
+    with pytest.raises(ValueError, match="cutoff must be >= 1"):
+        kick_unitary(0.1, 0)
 
 
 def test_truncation_fidelity_matches_target_overlap():
@@ -208,7 +215,7 @@ def test_truncation_fidelity_matches_target_overlap():
     for k in (0, 1, 4):
         psi = np.array([np.cos(k * 0.13), -1j * np.sin(k * 0.13)])  # k-kick target
         want = np.vdot(psi, rho.elements[:2, :2] @ psi).real
-        assert abs(truncation_fidelity(rho, k, 0.13) - want) < 1e-12
+        assert abs(_fidelity(rho.elements, k, 0.13) - want) < 1e-12
 
 
 def test_evolve_kicked_record_structure():
@@ -254,8 +261,9 @@ def test_evolve_kicked_initial_state_padding():
 
 def test_evolve_kicked_thermal_cutoff_warning():
     p = NqsParams(epsilon=0.05, kicks=1, cutoff=12, lam=0.05, nbar=0.2)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="small for a thermal run") as caught:
         evolve_kicked(p)
+    assert caught[0].filename == __file__  # the caller of evolve_kicked
 
 
 def test_kerr_step_qubit_block_frozen():
@@ -316,8 +324,8 @@ def test_thermal_step_vacuum_stationary_at_zero_temperature():
 
 def test_truncation_fidelity_one_photon_quarter_turn():
     rho = DensityMatrix(np.diag([0.0, 1.0, 0.0]))
-    assert truncation_fidelity(rho, 1, np.pi / 2) == pytest.approx(1.0, abs=1e-12)
-    assert truncation_fidelity(rho, 0, 0.3) == 0.0
+    assert _fidelity(rho.elements, 1, np.pi / 2) == pytest.approx(1.0, abs=1e-12)
+    assert _fidelity(rho.elements, 0, 0.3) == 0.0
 
 
 # Literal scalar-loop references for the per-diagonal propagators: the
@@ -504,8 +512,22 @@ def test_evolve_kicked_equals_chain_of_validated_steps(
         assert np.array_equal(rec.rho, ref.elements)
         assert (rec.trace, rec.purity, rec.mean_n) == (
             ref.trace, ref.purity, ref.mean_photon_number())
-        assert rec.fidelity == truncation_fidelity(ref, rec.kick_index, eps)
+        assert rec.fidelity == _fidelity(ref.elements, rec.kick_index, eps)
         DensityMatrix(rec.rho)
+
+
+@pytest.mark.parametrize("initial", [None, _random_density(4, 3)], ids=["vacuum", "mixed"])
+def test_trajectory_columns_are_the_records(initial):
+    # qscissors nqs writes the core's columns; evolve_kicked's records must
+    # carry the same values, state by state
+    p = NqsParams(epsilon=0.1, kicks=4, cutoff=12, lam=0.05, nbar=0.1, tau_k=1.3)
+    with pytest.warns(UserWarning, match="small for a thermal run"):
+        states, columns = nqs._trajectory(p, initial)
+        records = evolve_kicked(p, initial)
+    assert list(columns) == ["kick_index", "tau", "fidelity", "trace", "purity", "mean_n"]
+    for name, column in columns.items():
+        assert column.tolist() == [getattr(r, name) for r in records]
+    assert all(np.array_equal(s, r.rho) for s, r in zip(states, records))
 
 
 @pytest.mark.parametrize("lam, nbar", [(0.05, 0.0), (0.1, 0.2), (0.0, 0.0)])

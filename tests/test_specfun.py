@@ -146,6 +146,16 @@ def test_damping_coefficients_diagonal_at_any_nbar(nbar):
     assert abs(g_bar - (nbar + 1) * s / (1 + nbar * s)) <= 1e-14 * abs(g_bar)
 
 
+@pytest.mark.parametrize("lam", [1e-150, 1e-153, 1e-200, 1e-300])
+def test_damping_coefficients_at_tiny_lam_reach_the_kerr_limit(lam):
+    # y = x/lam past 1e150: y*y would overflow, but the coefficients have
+    # their lam -> 0 limit, E = e^{-i x tau/2} and g_bar = 0 to rounding
+    x, nbar, tau = np.arange(21), 0.1, 1.0
+    E, g_bar = damping_coefficients(x, lam, nbar, tau)
+    assert np.max(np.abs(E - np.exp(-0.5j * x * tau))) < 1e-15
+    assert np.max(np.abs(g_bar)) < 1e-100
+
+
 def test_damping_coefficients_rejects_bad_input():
     with pytest.raises(ValueError):
         damping_coefficients(1, 0.0, 0.1, 1.0)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .fock import CutoffError
-from .lqs import _closed_form, _domain, _ppb
+from .lqs import _closed_form, _domain, _first_failure, _ppb
 from .nqs import NqsParams, _trajectory
 from .verify import SUITES
 
@@ -257,8 +257,9 @@ def cmd_lqs(args):
     with np.errstate(invalid="ignore"):  # r_sq outside [0, 1] fails r_sq_range first
         r_mag = np.sqrt(r_sq) + 0.0  # + 0.0 turns sqrt(-0.0) into 0.0, as ** 0.5 did
     t, checks = _domain(alpha, gamma_bs, r_mag, eta)
+    _first_failure([r_sq_range, *checks])
     a = np.abs(alpha)
-    f_closed = _closed_form(a, eta, gamma_bs, r_mag, t, [r_sq_range, *checks])
+    f_closed = _closed_form(a, eta, gamma_bs, r_mag, t)
     lossless_5050 = (gamma_bs == 0) & (np.abs(r_sq - 0.5) < 1e-12)
     f_ppb = np.where(lossless_5050, _ppb(a * a, eta), None)
     columns = {"alpha_abs": a, "eta": eta, "gamma_bs": gamma_bs, "r_sq": r_sq,

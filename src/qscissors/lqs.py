@@ -31,7 +31,10 @@ class LqsParams:
     Gamma = gamma_bs, with t^2 + r_mag^2 + Gamma = 1, so the inputs are
     r_mag and Gamma and t = sqrt(1 - Gamma - r_mag^2) is derived once,
     here.  |alpha|^2 must be a finite float, r_mag lie in [0, 1], Gamma in
-    [0, 1] with r_mag^2 + Gamma <= 1, and eta in (0, 1].
+    [0, 1] with r_mag^2 + Gamma <= 1, and eta in (0, 1].  The herald must
+    have nonzero probability, which is zero exactly where r_mag = 0, or
+    where t = 0 and either alpha = 0 or Gamma = 0 with eta = 1; every
+    function taking an LqsParams relies on it.
     """
 
     alpha: complex
@@ -68,12 +71,15 @@ def _domain(alpha, gamma_bs, r_mag, eta):
     leaves |t^2| <= 1e-12 (rounding), and the checks as (mask of points
     that pass, message of point i) pairs in the order they apply, for
     _first_failure.  A nan fails the first check on its own value, so the
-    r_mag^2 + Gamma check never sees one.
+    r_mag^2 + Gamma check never sees one.  The herald's check, the last,
+    reads the factors of its probability, as their product can underflow.
     """
     with np.errstate(all="ignore"):  # a point outside the domain fails a check instead
         t_sq = 1.0 - gamma_bs - r_mag * r_mag
         t = np.where(t_sq > 1e-12, np.sqrt(t_sq), 0.0)
-        finite_alpha = abs(alpha) <= _ALPHA_MAX
+        a = abs(alpha)
+        finite_alpha = a <= _ALPHA_MAX
+    heralded = (r_mag != 0) & ((t != 0) | ((a != 0) & ((gamma_bs != 0) | (eta != 1))))
     checks = [
         (finite_alpha, lambda i: "alpha must be finite with |alpha|^2 inside the float "
                                  f"range, got {_at(alpha, i)}"),
@@ -84,6 +90,9 @@ def _domain(alpha, gamma_bs, r_mag, eta):
         (t_sq >= -1e-12,
          lambda i: f"r_mag^2 + Gamma (gamma_bs) = {1.0 - _at(t_sq, i):.12g} exceeds 1"),
         ((0.0 < eta) & (eta <= 1.0), lambda i: f"eta must lie in (0, 1], got {_at(eta, i)}"),
+        (heralded, lambda i: "F is undefined: the heralding event has probability zero "
+                             f"(r_mag = {_at(r_mag, i):.6g}, t = {_at(t, i):.6g}, "
+                             f"|alpha| = {_at(a, i):.6g})"),
     ]
     return t, checks
 
@@ -127,37 +136,26 @@ def truncated_state_general_bs(alpha, t1, r1, t2, r2):
 def fidelity_closed_form(p):
     """Truncation fidelity of the lossy scissors, simplified form.
 
-    Exactly 1 at alpha = 0 (vacuum truncates to itself).  Undefined, and a
-    ValueError, where the heralding event has probability zero with a
-    coherent input: r_mag = 0 (no photon reaches the detectors; at any
-    alpha, eta and Gamma, as in normalization_closed_form), or
-    _herald_bracket is zero, which is t = 0 at alpha = 0 or with lossless
-    splitters and ideal detectors.
+    Exactly 1 at alpha = 0 (vacuum truncates to itself).
     """
     return float(_closed_form(abs(p.alpha), p.eta, p.gamma_bs, p.r_mag, p.t))
 
 
-def _closed_form(a, eta, gamma_bs, r_mag, t, checks=()):
+def _closed_form(a, eta, gamma_bs, r_mag, t):
     """fidelity_closed_form at one point or a 1-d array of them, |alpha| = a.
 
-    Raises as _first_failure does for `checks` followed by the check that
-    the herald has nonzero probability.  F = 1 - loss/((1 + R)(loss + t^2
-    (1 + R))) with R = 1/|alpha|^2 and loss = x r^2 + Gamma uses only
-    + - * /, which round alike for Python floats and float64 arrays, so one
-    point and a whole axis give the same bits.  Below the smallest normal
-    float, |alpha|^2 is taken as that float: R stays finite, so t = 0 gives
-    no 0 * inf, and F is exactly 1, as it is at alpha = 0.
+    F = 1 - loss/((1 + R)(loss + t^2 (1 + R))) with R = 1/|alpha|^2 and
+    loss = x r^2 + Gamma uses only + - * /, which round alike for Python
+    floats and float64 arrays, so one point and a whole axis give the same
+    bits.  Below the smallest normal float, |alpha|^2 is taken as that
+    float: R stays finite, so t = 0 gives no 0 * inf, and F is exactly 1,
+    as it is at alpha = 0.
     """
-    with np.errstate(all="ignore"):  # points that fail a check are never returned
-        a2, r2, t2 = a * a, r_mag * r_mag, t * t
-        defined = (r_mag != 0) & (_herald_bracket(a2, eta, gamma_bs, r2, t2) != 0)
-        R = 1.0 / np.maximum(a2, sys.float_info.min)
+    with np.errstate(over="ignore"):  # the denominator overflows only where F rounds to 1
+        r2 = r_mag * r_mag
+        R = 1.0 / np.maximum(a * a, sys.float_info.min)
         loss = _loss_commutator(eta, gamma_bs) * r2 + gamma_bs
-        f = 1.0 - loss / ((1.0 + R) * (loss + t2 * (1.0 + R)))
-    _first_failure([*checks, (defined, lambda i: (
-        "F is undefined: the heralding event has probability zero "
-        f"(r_mag = {_at(r_mag, i):.6g}, t = {_at(t, i):.6g}, |alpha| = {_at(a, i):.6g})"))])
-    return f
+        return 1.0 - loss / ((1.0 + R) * (loss + t * t * (1.0 + R)))
 
 
 def fidelity_unsimplified(p):
@@ -168,18 +166,21 @@ def fidelity_unsimplified(p):
     normalization_closed_form) as an internal consistency route.  Raises
     FloatingPointError where that exponential, e^{x|alpha|^2}, or N overflows.
     """
-    n = normalization_closed_form(p)  # raises where the herald has probability zero
-    a2 = abs(p.alpha) ** 2
-    if a2 == 0:
+    n = normalization_closed_form(p)
+    a = abs(p.alpha)
+    a2 = a * a
+    if a2 == 0:  # F = 1 - O(|alpha|^2)
         return 1.0
-    r2, t2, x, G = p.r_mag**2, p.t**2, p.x, p.gamma_bs
+    x = p.x
     if x * a2 > _LOG_MAX:
         raise FloatingPointError(f"e^(x|alpha|^2) overflows a float at |alpha|^2 = {a2:.6g}, "
                                  f"x = {x:.6g}")
-    rest = t2 * (a2 + 1.0) + a2 * (r2 * x + G) / (1.0 + a2)
-    # eta r^2 N^2 as (sqrt(eta) r_mag N)^2: r_mag may be subnormal, N^2 overflow
-    front_n = p.r_mag * n * math.sqrt(p.eta)
-    return (math.exp(x * a2) * front_n) * (rest * front_n)
+    # the overlap's bracket as the square of a root, as in N, and eta r^2 N^2
+    # as (sqrt(eta) r_mag N)^2: |alpha|^2 and r_mag may be subnormal, N^2 overflow
+    s = math.sqrt(1.0 + a2)
+    rest_root = math.hypot(p.t * s, a * math.sqrt(x * p.r_mag * p.r_mag + p.gamma_bs) / s)
+    front_n = p.r_mag * n * math.sqrt(p.eta) * rest_root
+    return (math.exp(x * a2) * front_n) * front_n
 
 
 def normalization_closed_form(p):
@@ -187,34 +188,25 @@ def normalization_closed_form(p):
 
     N^-2 = eta r^2 e^{x|alpha|^2} (t^2 (1 + |alpha|^2) + |alpha|^2 (r^2 x + Gamma)),
     equal to (eta r^2 t^2)^{-1/2} at alpha = 0.  N is e^{-x|alpha|^2/2}
-    over the square root of the bracket, then over sqrt(eta) and r_mag one
-    at a time, so it stays finite where e^{x|alpha|^2} alone overflows and
-    keeps its last digits where the bracket or eta r^2 is tiny; it is taken
-    in log space where e^{-x|alpha|^2/2} is below the normal float range.
-    Raises FloatingPointError where N overflows.
+    over the bracket's root hypot(t sqrt(1 + |alpha|^2), |alpha| sqrt(r^2 x
+    + Gamma)), then over sqrt(eta) and r_mag one at a time, so it stays
+    finite where e^{x|alpha|^2} alone overflows and keeps its last digits
+    where |alpha|^2, the bracket or eta r^2 is tiny; it is taken in log
+    space where e^{-x|alpha|^2/2} is below the normal float range.  Raises
+    FloatingPointError where N overflows.
     """
     a = abs(p.alpha)
     a2 = a * a
-    bracket = _herald_bracket(a2, p.eta, p.gamma_bs, p.r_mag * p.r_mag, p.t * p.t)
-    if p.r_mag == 0 or bracket == 0:
-        raise ValueError("N is undefined: the heralding event has probability zero")
+    root = math.hypot(p.t * math.sqrt(1.0 + a2),
+                      a * math.sqrt(p.x * p.r_mag * p.r_mag + p.gamma_bs))
     decay = math.exp(-0.5 * p.x * a2)
-    if decay < sys.float_info.min:  # bracket >= x|alpha|^2 keeps this N below 1e176
-        log_n = -0.5 * p.x * a2 - (0.5 * (math.log(bracket) + math.log(p.eta)) + math.log(p.r_mag))
+    if decay < sys.float_info.min:  # root >= sqrt(x)|alpha| keeps this N below 1e176
+        log_n = -0.5 * p.x * a2 - (math.log(root) + 0.5 * math.log(p.eta) + math.log(p.r_mag))
         return math.exp(log_n)
-    n = decay / math.sqrt(bracket) / math.sqrt(p.eta) / p.r_mag
+    n = decay / root / math.sqrt(p.eta) / p.r_mag if root else math.inf
     if n == math.inf:
         raise FloatingPointError(f"N overflows a float at eta = {p.eta:.6g}, r_mag = {p.r_mag:.6g}")
     return n
-
-
-def _herald_bracket(a2, eta, gamma_bs, r2, t2):
-    """t^2 (1 + |alpha|^2) + |alpha|^2 (r^2 x + Gamma) = N^-2 e^{-x|alpha|^2}/(eta r^2),
-    zero where the herald has probability zero unless r_mag is.  For
-    |alpha| > 0 it is |alpha|^2 times the denominator loss + t^2 (1 +
-    1/|alpha|^2) of fidelity_closed_form.  Takes the squares a2 = |alpha|^2,
-    r2 = r_mag^2 and t2 = t^2, scalars or arrays."""
-    return t2 * (1.0 + a2) + a2 * (r2 * _loss_commutator(eta, gamma_bs) + gamma_bs)
 
 
 def fidelity_ppb(alpha, eta):
@@ -273,7 +265,7 @@ def env_gram_oracle(p):
     about 709; it is built scaled by e^{-x|alpha|^2/2} (the coherent-state
     components of beta) and the scale is put back into N only.  Raises
     FloatingPointError where N itself falls below the normal float range,
-    from x|alpha|^2 of about 1400.
+    from x|alpha|^2 of about 1400, or where the bundles' squared norm does.
     """
     alpha = complex(p.alpha)
     a2 = abs(alpha) ** 2
@@ -294,6 +286,9 @@ def env_gram_oracle(p):
     lam1 = front * p.t * np.kron(np.kron(g0, g0), v3)
     # 1/N^2 = e^{x|alpha|^2} * scaled_n2_inv
     scaled_n2_inv = np.linalg.norm(lam0)**2 + a2 * np.linalg.norm(lam1)**2
+    if scaled_n2_inv < sys.float_info.min:
+        raise FloatingPointError(f"the Gram norm {scaled_n2_inv:.3e} is below the normal float "
+                                 f"range at |alpha| = {abs(alpha):.6g}, t = {p.t:.6g}")
     N = math.exp(-b2 / 2) / math.sqrt(scaled_n2_inv)
     if N < sys.float_info.min:
         raise FloatingPointError(f"N = {N:.3e} is below the normal float range "

@@ -434,12 +434,14 @@ def test_tiny_lambda_thermal_run_exits_0(capsys, lam):
 
 
 def test_lqs_tiny_eta_and_reflection_exit_0(capsys):
-    # eta r^2 = 1e-400 is below the float range, but the herald's
-    # probability is not zero: F is defined, and at Gamma = 0 it is 1 - 1e-200/4
-    argv = ["lqs", "--alpha", "1", "--eta", "1e-200", "--gamma-bs", "0", "--r-sq", "1e-200"]
-    assert main(argv) == 0
-    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
-    assert rows[1][rows[0].index("F_closed")] == "1"
+    # eta r^2 = 1e-400, or |alpha|^2 = 1e-340 at t = 0, is below the float
+    # range, but the herald's probability is not zero: F is defined, and it
+    # is 1 - 1e-200/4 at Gamma = 0 and 1 - 1e-340 at t = 0
+    for argv in (["lqs", "--alpha", "1", "--eta", "1e-200", "--gamma-bs", "0", "--r-sq", "1e-200"],
+                 ["lqs", "--alpha", "1e-170", "--eta", "1", "--gamma-bs", "0.3", "--r-sq", "0.7"]):
+        assert main(argv) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[1][rows[0].index("F_closed")] == "1"
 
 
 @pytest.mark.parametrize("gamma_bs, r_sq", [("0.1", "0.9"), ("0.3", "0.7")])

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qscissors.lqs import (
     normalization_closed_form,
     truncated_state_general_bs,
 )
-from qscissors.lqs import _closed_form, _domain, _ppb
+from qscissors.lqs import _closed_form, _domain, _first_failure, _ppb
 
 
 def test_params_two_of_three_resolution():
@@ -80,25 +81,22 @@ def test_vacuum_input_is_exact():
 ])
 def test_fidelity_undefined_without_reflection(alpha, eta, gamma_bs):
     # r_mag = 0 sends no photon to the detectors: the herald has probability
-    # zero at every alpha, eta and Gamma, and F is as undefined as N
-    p = LqsParams(alpha=alpha, eta=eta, gamma_bs=gamma_bs, r_mag=0.0)
-    with pytest.raises(ValueError, match="r_mag = 0"):
-        fidelity_closed_form(p)
-    with pytest.raises(ValueError, match="probability zero"):
-        normalization_closed_form(p)
+    # zero at every alpha, eta and Gamma, so F and N are undefined and
+    # LqsParams refuses the point
+    with pytest.raises(ValueError, match=r"probability zero \(r_mag = 0,"):
+        LqsParams(alpha=alpha, eta=eta, gamma_bs=gamma_bs, r_mag=0.0)
 
 
 @pytest.mark.parametrize("eta, gamma_bs", [(1.0, 0.3), (0.6, 0.3), (0.8, 0.5), (1.0, 0.1),
                                             (0.6, 0.2)])
 def test_fidelity_undefined_at_vacuum_without_transmission(eta, gamma_bs):
     # t = 0 with Gamma > 0: at alpha = 0 the herald's probability
-    # eta r^2 t^2 is zero, so F raises wherever N does; at Gamma = 0.1 and
-    # 0.2 the subtraction 1 - Gamma - r_mag^2 leaves +1.1e-16, which is t = 0
-    p = LqsParams(alpha=0.0, eta=eta, gamma_bs=gamma_bs, r_mag=math.sqrt(1.0 - gamma_bs))
-    assert p.t == 0.0
-    for f in (fidelity_closed_form, fidelity_unsimplified, normalization_closed_form):
-        with pytest.raises(ValueError, match="probability zero"):
-            f(p)
+    # eta r^2 t^2 is zero, so LqsParams refuses the point; at Gamma = 0.1
+    # and 0.2 the subtraction 1 - Gamma - r_mag^2 leaves +1.1e-16, which is t = 0
+    r_mag = math.sqrt(1.0 - gamma_bs)
+    assert _domain(0.0, gamma_bs, r_mag, eta)[0] == 0.0
+    with pytest.raises(ValueError, match=r"probability zero \(.*, t = 0, \|alpha\| = 0\)"):
+        LqsParams(alpha=0.0, eta=eta, gamma_bs=gamma_bs, r_mag=r_mag)
 
 
 def test_lossless_balanced_reduces_to_ppb():
@@ -179,8 +177,14 @@ def test_gram_oracle_past_float_range_of_exponential(alpha):
 def test_gram_oracle_refuses_subnormal_normalization():
     # x|alpha|^2 = 1625: N = e^{-812}/... is not a normal float
     p = LqsParams(alpha=50.0, eta=0.5, gamma_bs=0.3, r_mag=0.5)
-    with pytest.raises(FloatingPointError, match="normal float range"):
+    with pytest.raises(FloatingPointError, match="N = .* normal float range"):
         env_gram_oracle(p)
+    # t = 0: the bundles' squared norm is eta r^4 x |alpha|^2 = 2.5e-341,
+    # which underflows to 0, while the closed-form N is finite
+    p = LqsParams(alpha=1e-170, eta=0.5, gamma_bs=0.0, r_mag=1.0)
+    with pytest.raises(FloatingPointError, match="Gram norm 0.000e\\+00 is below the normal"):
+        env_gram_oracle(p)
+    assert math.isfinite(normalization_closed_form(p))
 
 
 def test_projection_oracle_lossless_matches_two_level_form():
@@ -244,11 +248,11 @@ def test_unsimplified_small_alpha_limit():
     assert abs(fidelity_unsimplified(p) - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("alpha", [5.33e-155, 1e-160, 1.5e-154, 1e-150])
+@pytest.mark.parametrize("alpha", [5.33e-155, 1e-160, 1.5e-154, 1e-150, 1e-170])
 def test_unsimplified_tiny_alpha_without_transmission(monkeypatch, alpha):
     # t = 0: N^-2 = eta r^2 e^{x|alpha|^2} x |alpha|^2, so N^2 overflows a
-    # float at the first two points, and a log-space N loses digits at all
-    # four; the unsimplified route must still give F = 1 without the
+    # float at the first two points, and |alpha|^2 underflows to 0 at the
+    # last; the unsimplified route must still give F = 1 without the
     # closed form
     p = LqsParams(alpha=alpha, eta=0.5, gamma_bs=0.0, r_mag=1.0)
     assert p.t == 0.0
@@ -265,7 +269,11 @@ def test_unsimplified_exponential_overflow_names_alpha():
 
 
 def _decimal_reference(p):
-    """(N, F) of `p` in 50-digit decimal arithmetic, from its float inputs."""
+    """(P, N, F) of `p` in 50-digit decimal arithmetic, from its float inputs.
+
+    P is eta r^2 times the bracket of N^-2, the herald's probability up to
+    a positive exponential; N and F are None where P is 0.
+    """
     with localcontext() as ctx:
         ctx.prec = 50
         a2 = Decimal(abs(p.alpha)) ** 2
@@ -273,9 +281,12 @@ def _decimal_reference(p):
         gamma = Decimal(p.gamma_bs)
         x = eta * gamma + 1 - eta
         bracket = t2 * (1 + a2) + a2 * (r2 * x + gamma)
-        n = (-x * a2 / 2).exp() / (eta * r2 * bracket).sqrt()
+        prob = eta * r2 * bracket
+        if prob == 0:
+            return prob, None, None
+        n = (-x * a2 / 2).exp() / prob.sqrt()
         f = (t2 * (1 + a2) + a2 * (r2 * x + gamma) / (1 + a2)) / bracket
-        return n, f
+        return prob, n, f
 
 
 def _rel_dev(got, want):
@@ -287,12 +298,15 @@ def _rel_dev(got, want):
     (1.0, 1e-161, math.sqrt(1e-161)),
     (1.0, 1e-200, 1e-100),
     (100.0, 1.0, 1e-310),
+    (1e-160, 0.5, 1.0),
+    (1e-170, 0.5, 1.0),
 ])
 def test_herald_of_tiny_eta_and_reflection_matches_decimal(alpha, eta, r_mag):
-    # eta r^2 is subnormal or below the float range, while the herald's
-    # probability is not zero: N and both fidelity routes keep their digits
+    # eta r^2, or |alpha|^2 at t = 0, is subnormal or below the float range,
+    # while the herald's probability is not zero: N and both fidelity routes
+    # keep their digits
     p = LqsParams(alpha=alpha, eta=eta, gamma_bs=0.0, r_mag=r_mag)
-    n, f = _decimal_reference(p)
+    _, n, f = _decimal_reference(p)
     assert _rel_dev(normalization_closed_form(p), n) < 1e-14
     assert _rel_dev(fidelity_unsimplified(p), f) < 1e-14
     assert _rel_dev(fidelity_closed_form(p), f) < 1e-14
@@ -303,7 +317,7 @@ def test_normalization_in_log_space_matches_decimal():
     # space, where it keeps about |ln N| ulps; the unsimplified fidelity's
     # e^{x|alpha|^2} overflows there, which it reports
     p = LqsParams(alpha=38.0, eta=1e-30, gamma_bs=0.0, r_mag=0.5)
-    n, _ = _decimal_reference(p)
+    _, n, _ = _decimal_reference(p)
     got = normalization_closed_form(p)
     assert got >= sys.float_info.min
     assert _rel_dev(got, n) < 1e-12
@@ -346,10 +360,10 @@ def test_closed_form_monotone_in_bs_loss():
                     prev = f
 
 
-@pytest.mark.parametrize("alpha", [5.332605467414258e-155, 1e-160, 1.5e-154])
+@pytest.mark.parametrize("alpha", [5.332605467414258e-155, 1e-160, 1.5e-154, 1e-170])
 def test_closed_form_is_one_below_the_normal_float_range_at_t_zero(alpha):
-    # |alpha|^2 subnormal or just normal with t = 0: 1/|alpha|^2 must not
-    # overflow into 0 * inf
+    # |alpha|^2 subnormal, just normal or underflowing to 0 with t = 0:
+    # 1/|alpha|^2 must not overflow into 0 * inf
     assert fidelity_closed_form(LqsParams(alpha=alpha, eta=0.5, gamma_bs=0.0, r_mag=1.0)) == 1.0
 
 
@@ -371,21 +385,72 @@ def _lqs_points(draw):
 @example(points=[(5.332605467414258e-155, 0.5, 0.0, 1.0)])  # subnormal |alpha|^2 at t = 0
 def test_array_closed_forms_equal_scalar_bit_for_bit(points):
     # one expression serves a whole axis and one point: the array results
-    # must be the scalar ones exactly, and a point where F is undefined
-    # must raise the same error on both routes
+    # must be the scalar ones exactly, and a point LqsParams refuses (its
+    # herald has probability zero) must fail the array checks the same way
     alpha, eta, gamma_bs, r_sq = map(np.array, zip(*points))
     r_mag = np.sqrt(r_sq)
     t, checks = _domain(alpha, gamma_bs, r_mag, eta)
     scalar = []
     for a, e, g, r in zip(alpha.tolist(), eta.tolist(), gamma_bs.tolist(), r_mag.tolist()):
-        p = LqsParams(alpha=a, eta=e, gamma_bs=g, r_mag=r)
         try:
-            scalar.append(fidelity_closed_form(p))
+            p = LqsParams(alpha=a, eta=e, gamma_bs=g, r_mag=r)
         except ValueError as exc:
             with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                _closed_form(np.abs(alpha), eta, gamma_bs, r_mag, t, checks)
+                _first_failure(checks)
             return
-    assert _closed_form(np.abs(alpha), eta, gamma_bs, r_mag, t, checks).tolist() == scalar
+        scalar.append(fidelity_closed_form(p))
+    _first_failure(checks)
+    assert _closed_form(np.abs(alpha), eta, gamma_bs, r_mag, t).tolist() == scalar
     a = np.abs(alpha)
     ppb = [fidelity_ppb(x, e) for x, e in zip(alpha.tolist(), eta.tolist())]
     assert _ppb(a * a, eta).tolist() == ppb
+
+
+def _tiny(hi):
+    """Positive floats up to `hi`, subnormals included."""
+    return st.floats(5e-324, hi, allow_subnormal=True)
+
+
+@st.composite
+def _herald_edge_points(draw):
+    """(alpha, eta, Gamma, r_mag) inside the domain, drawn at the herald's
+    edges: alpha 0, subnormal or with a square below the float range;
+    t = 0 (r^2 = 1 - Gamma); Gamma = 0 with eta = 1; tiny r_mag."""
+    alpha = draw(st.one_of(st.just(0.0), _tiny(2.2e-308), st.floats(1e-200, 1e-150),
+                           st.floats(1e-3, 5.0)))
+    alpha *= draw(st.sampled_from([1.0, -1.0, 1j, cmath.exp(0.7j)]))
+    eta = draw(st.one_of(st.just(1.0), _tiny(1.0)))
+    gamma_bs = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    top = math.sqrt(1.0 - gamma_bs)
+    r_mag = draw(st.one_of(st.just(0.0), st.just(top), _tiny(1e-150).map(lambda r: min(r, top)),
+                           st.floats(0.0, 1.0).map(lambda u: u * top)))
+    return alpha, eta, gamma_bs, r_mag
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=_herald_edge_points())
+@example(point=(1e-170, 1.0, 0.3, math.sqrt(0.7)))  # |alpha|^2 underflows at t = 0
+@example(point=(0.5, 1.0, 0.0, 1.0))  # t = 0 with lossless splitters and ideal detectors
+def test_params_accept_exactly_the_heralded_points(point):
+    # LqsParams accepts a point exactly where the herald's probability is
+    # positive in exact arithmetic; there the closed form lies in [0, 1], and
+    # N, the unsimplified F and the Gram oracle are finite or refuse with a
+    # FloatingPointError, never nan, a ZeroDivisionError or the herald error
+    alpha, eta, gamma_bs, r_mag = point
+    t = float(_domain(alpha, gamma_bs, r_mag, eta)[0])
+    prob, _, _ = _decimal_reference(SimpleNamespace(alpha=alpha, eta=eta, gamma_bs=gamma_bs,
+                                                    r_mag=r_mag, t=t))
+    try:
+        p = LqsParams(alpha=alpha, eta=eta, gamma_bs=gamma_bs, r_mag=r_mag)
+    except ValueError as exc:
+        assert prob == 0
+        assert str(exc).startswith("F is undefined: the heralding event has probability zero")
+        return
+    assert prob > 0
+    assert 0.0 <= fidelity_closed_form(p) <= 1.0
+    for route in (normalization_closed_form, fidelity_unsimplified, env_gram_oracle):
+        try:
+            values = route(p)
+        except FloatingPointError:
+            continue
+        assert np.all(np.isfinite(values))

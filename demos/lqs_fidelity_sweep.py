@@ -9,7 +9,7 @@ the lossless balanced-splitter benchmark.
 
 import numpy as np
 
-from qscissors import LqsParams, fidelity_closed_form, fidelity_ppb
+from qscissors.lqs import sweep
 
 GRADES = [
     ("ideal", 1.00, 0.00),
@@ -25,13 +25,9 @@ def main():
     print()
     header = f"{'|alpha|':>8}" + "".join(f"{name:>28}" for name, _, _ in GRADES)
     print(header)
-    for alpha in alphas:
-        cells = []
-        for _, eta, gamma in GRADES:
-            p = LqsParams(alpha=alpha, eta=eta, gamma_bs=gamma,
-                          r_mag=np.sqrt((1 - gamma) / 2))
-            cells.append(f"{fidelity_closed_form(p):28.6f}")
-        print(f"{alpha:8.2f}" + "".join(cells))
+    f_closed = [sweep(alphas, eta, gamma, (1 - gamma) / 2)["F_closed"] for _, eta, gamma in GRADES]
+    for alpha, row in zip(alphas, zip(*f_closed)):
+        print(f"{alpha:8.2f}" + "".join(f"{f:28.6f}" for f in row))
     print()
     print("The ideal column stays at 1: with eta = 1 and Gamma = 0 the")
     print("projection succeeds perfectly whenever it fires.  Loss hurts most")
@@ -40,10 +36,9 @@ def main():
     print("Lossless splitters with inefficient detectors reduce to the")
     print("projection-synthesis benchmark:")
     print()
-    for alpha in (0.5, 1.0, 1.5):
-        p = LqsParams(alpha=alpha, eta=0.85, gamma_bs=0.0, r_mag=np.sqrt(0.5))
-        print(f"  |alpha| = {alpha:.1f}:  closed form {fidelity_closed_form(p):.12f}"
-              f"  benchmark {fidelity_ppb(alpha, 0.85):.12f}")
+    table = sweep([0.5, 1.0, 1.5], 0.85, 0.0, 0.5)
+    for alpha, f, f_ppb in zip(table["alpha_abs"], table["F_closed"], table["F_ppb"]):
+        print(f"  |alpha| = {alpha:.1f}:  closed form {f:.12f}  benchmark {f_ppb:.12f}")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .fock import CutoffError
-from .lqs import _closed_form, _domain, _first_failure, _ppb
+from .lqs import sweep
 from .nqs import NqsParams, _trajectory
 from .verify import SUITES
 
@@ -246,24 +246,10 @@ def cmd_lqs(args):
         if path:
             _check_out(path)
     fixed = [dict(zip(extra, combo)) for combo in combos]
-    # each axis over every point, table after table; every point is checked
-    # before the first table is written, so a bad point leaves no output
+    # each axis over every point, table after table; a bad point leaves no output
     shape = (len(combos), len(axes[sweep_key]))
-    alpha, eta, gamma_bs, r_sq = (
-        np.broadcast_to(v if k == sweep_key else [[f.get(k, v[0])] for f in fixed], shape).ravel()
-        for k, v in axes.items())
-    r_sq_range = ((0.0 <= r_sq) & (r_sq <= 1.0),
-                  lambda i: f"--r-sq must lie in [0, 1], got {r_sq[i].item()}")
-    with np.errstate(invalid="ignore"):  # r_sq outside [0, 1] fails r_sq_range first
-        r_mag = np.sqrt(r_sq) + 0.0  # + 0.0 turns sqrt(-0.0) into 0.0, as ** 0.5 did
-    t, checks = _domain(alpha, gamma_bs, r_mag, eta)
-    _first_failure([r_sq_range, *checks])
-    a = np.abs(alpha)
-    f_closed = _closed_form(a, eta, gamma_bs, r_mag, t)
-    lossless_5050 = (gamma_bs == 0) & (np.abs(r_sq - 0.5) < 1e-12)
-    f_ppb = np.where(lossless_5050, _ppb(a * a, eta), None)
-    columns = {"alpha_abs": a, "eta": eta, "gamma_bs": gamma_bs, "r_sq": r_sq,
-               "F_closed": f_closed, "F_ppb": f_ppb}
+    columns = sweep(*(np.broadcast_to(v if k == sweep_key else [[f.get(k, v[0])] for f in fixed],
+                                      shape).ravel() for k, v in axes.items()))
     meta = {"command": "lqs", "version": __version__, "format": args.fmt,
             "swept_axis": sweep_key,
             "axes": {k: [_fmt_cell(v) for v in axes[k]] for k in axes}}

@@ -6,7 +6,8 @@ and none in the other truncates the coherent state to its {|0>, |1>} part.
 This module carries the closed-form fidelities for lossy beam splitters and
 inefficient detectors, plus two independent brute-force oracles: a full
 Fock-space simulation of the lossless pipeline and an explicit environment-
-mode realization of the Langevin noise operators.
+mode realization of the Langevin noise operators.  LqsParams is the record
+of one point; sweep evaluates many at once, as the command line does.
 """
 
 import math
@@ -34,7 +35,8 @@ class LqsParams:
     [0, 1] with r_mag^2 + Gamma <= 1, and eta in (0, 1].  The herald must
     have nonzero probability, which is zero exactly where r_mag = 0, or
     where t = 0 and either alpha = 0 or Gamma = 0 with eta = 1; every
-    function taking an LqsParams relies on it.
+    function taking an LqsParams relies on it.  This is the one-point
+    record; sweep checks and evaluates many points at once.
     """
 
     alpha: complex
@@ -103,18 +105,37 @@ def _at(values, i):
 
 
 def _first_failure(checks):
-    """Raise ValueError for the first failing point of `checks`.
-
-    `checks` holds (mask, message) pairs in the order they apply to one
-    point; each mask flags the points that pass, as a scalar or a 1-d
-    array, and message(i) describes point i.  The first point that fails
-    any check is reported by the first check it fails, as a loop over the
-    points would.
+    """Raise ValueError for the first point that fails any of `checks`,
+    (mask of points that pass, message of point i) pairs in the order they
+    apply, with the message of the first check it fails, as a loop would.
     """
     failing = ~np.array([ok for ok, _ in checks], dtype=bool).reshape(len(checks), -1)
     if failing.any():
         i = int(failing.any(axis=0).argmax())
         raise ValueError(checks[int(failing[:, i].argmax())][1](i))
+
+
+def sweep(alpha, eta, gamma_bs, r_sq):
+    """LqsParams's checks and the fidelities of many points, as columns
+    (alpha_abs, eta, gamma_bs, r_sq, F_closed, F_ppb) in CSV order.
+
+    The inputs broadcast to one axis, with r_mag = sqrt(r_sq).  Every point
+    is checked, r_sq in [0, 1] first, before any is computed; the first
+    failing point raises its first failing check's ValueError.  F_ppb is
+    fidelity_ppb where Gamma = 0 and r^2 = 0.5, and None elsewhere.
+    """
+    alpha, eta, gamma_bs, r_sq = map(np.ravel, np.broadcast_arrays(alpha, eta, gamma_bs, r_sq))
+    r_sq_range = ((0.0 <= r_sq) & (r_sq <= 1.0),
+                  lambda i: f"--r-sq must lie in [0, 1], got {_at(r_sq, i)}")
+    with np.errstate(invalid="ignore"):  # r_sq outside [0, 1] fails r_sq_range first
+        r_mag = np.sqrt(r_sq) + 0.0  # + 0.0 turns sqrt(-0.0) into 0.0
+    t, checks = _domain(alpha, gamma_bs, r_mag, eta)
+    _first_failure([r_sq_range, *checks])
+    a = np.abs(alpha)
+    lossless_5050 = (gamma_bs == 0) & (np.abs(r_sq - 0.5) < 1e-12)
+    return {"alpha_abs": a, "eta": eta, "gamma_bs": gamma_bs, "r_sq": r_sq,
+            "F_closed": _closed_form(a, eta, gamma_bs, r_mag, t),
+            "F_ppb": np.where(lossless_5050, fidelity_ppb(a, eta), None)}
 
 
 def truncated_state_general_bs(alpha, t1, r1, t2, r2):
@@ -210,7 +231,7 @@ def normalization_closed_form(p):
 
 
 def fidelity_ppb(alpha, eta):
-    """Projection-synthesis fidelity for lossless BSs at 50/50 split.
+    """Projection-synthesis fidelity, lossless 50/50 BSs, of scalars or arrays.
 
     1 - (1 - eta) |alpha|^4 / ((1 + |alpha|^2)(1 + (2 - eta)|alpha|^2)),
     written in u = |alpha|^2/(1 + |alpha|^2) as 1 - (1 - eta) u^2/(1 +
@@ -218,14 +239,11 @@ def fidelity_ppb(alpha, eta):
     Raises OverflowError where |alpha| is finite and |alpha|^2 is not.
     """
     a = abs(alpha)
-    a2 = a * a
-    if math.isinf(a2) and math.isfinite(a):
-        raise OverflowError(f"|alpha|^2 overflows a float at |alpha| = {a:.6g}")
-    return _ppb(a2, eta)
-
-
-def _ppb(a2, eta):
-    """fidelity_ppb at |alpha|^2 = a2, over scalars or arrays; only + - * /."""
+    with np.errstate(over="ignore"):  # an overflowing square is refused below
+        a2 = a * a
+    over = np.isinf(a2) & np.isfinite(a)
+    if over.any():
+        raise OverflowError(f"|alpha|^2 overflows a float at |alpha| = {_at(a, over.argmax()):.6g}")
     u = a2 / (1.0 + a2)
     loss = (1.0 - eta) * u
     return 1.0 - loss * u / (1.0 + loss)

@@ -67,16 +67,11 @@ def suite_lqs_identity(seed):
 
 def suite_lqs_ppb(seed):
     """Closed form at Gamma=0, 50/50 split vs the projection-synthesis formula."""
-    devs = []
-    r = np.sqrt(0.5)
     alphas = np.linspace(0.05, 2.0, 21)
-    for alpha in alphas:
-        for eta in np.linspace(0.05, 1.0, 11):
-            p = lqs.LqsParams(alpha=alpha, eta=eta, gamma_bs=0.0, r_mag=r)
-            devs.append(abs(lqs.fidelity_closed_form(p) - lqs.fidelity_ppb(alpha, eta)))
-    for alpha in (*alphas, 1.3):
-        p = lqs.LqsParams(alpha=alpha, eta=1.0, gamma_bs=0.0, r_mag=r)
-        devs.append(abs(lqs.fidelity_closed_form(p) - 1.0))
+    grid = lqs.sweep(np.repeat(alphas, 11), np.tile(np.linspace(0.05, 1.0, 11), 21), 0.0, 0.5)
+    unity = lqs.sweep(np.append(alphas, 1.3), 1.0, 0.0, 0.5)
+    devs = np.abs(np.append(grid["F_closed"] - grid["F_ppb"].astype(float),
+                            unity["F_closed"] - 1.0))
     return _result("lqs-ppb", [(devs, 1e-12)], "21x11 grid + unity at eta=1 for 22 alphas")
 
 

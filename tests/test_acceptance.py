@@ -79,7 +79,7 @@ FROZEN_TRAJECTORY = [
 # criterion -> (verify suite, time budget in seconds)
 CRITERIA = {
     1: ("lqs-identity", 1.0),
-    2: ("lqs-ppb", math.inf),
+    2: ("lqs-ppb", 1.0),
     3: ("lqs-gram", 10.0),
     4: ("lqs-projection", 10.0),
     5: ("nqs-limits", math.inf),

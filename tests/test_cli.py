@@ -376,6 +376,10 @@ _NQS = ["nqs", "--epsilon", "0.1", "--kicks", "2", "--cutoff", "10"]
     (["lqs", "--alpha", "1e200", "--eta", "0.9", "--gamma-bs", "0.1", "--r-sq", "0.5"], "alpha"),
     (_LQS + ["--gamma-bs", "0.1", "--r-sq", "-0"], "r_mag = 0,"),
     (["nqs", "--epsilon", "0.1", "--kicks", "2"], "missing required nqs parameter(s): cutoff"),
+    # the first failing point is reported by its first failing check: point 0
+    # fails r_mag^2 + Gamma before point 1 fails the r^2 range, and vice versa
+    (_LQS + ["--gamma-bs", "0.6", "--r-sq", "0.5:1.5:2"], "= 1.1 exceeds 1"),
+    (_LQS + ["--gamma-bs", "0.6", "--r-sq", "1.5:0.5:2"], "--r-sq must lie in [0, 1], got 1.5"),
 ])
 def test_out_of_domain_inputs_exit_2(capsys, argv, field):
     with warnings.catch_warnings(record=True) as caught:

@@ -21,9 +21,10 @@ from qscissors.lqs import (
     fidelity_unsimplified,
     lqs_projection_oracle,
     normalization_closed_form,
+    sweep,
     truncated_state_general_bs,
 )
-from qscissors.lqs import _closed_form, _domain, _first_failure, _ppb
+from qscissors.lqs import _domain
 
 
 def test_params_two_of_three_resolution():
@@ -383,27 +384,29 @@ def _lqs_points(draw):
 @settings(max_examples=200, deadline=None)
 @given(points=st.lists(_lqs_points(), min_size=1, max_size=20))
 @example(points=[(5.332605467414258e-155, 0.5, 0.0, 1.0)])  # subnormal |alpha|^2 at t = 0
+@example(points=[(a, e, 0.0, 0.5) for a, e in ((0.0, 0.3), (-1.5, 1.0), (4.0, 0.7))])
 def test_array_closed_forms_equal_scalar_bit_for_bit(points):
-    # one expression serves a whole axis and one point: the array results
-    # must be the scalar ones exactly, and a point LqsParams refuses (its
-    # herald has probability zero) must fail the array checks the same way
+    # sweep's columns must be the one-point results exactly, a point
+    # LqsParams refuses (its herald has probability zero) must make sweep
+    # raise the same message, and a scalar Gamma and r^2 must broadcast
+    # against the other axes as the arrays of their values do
     alpha, eta, gamma_bs, r_sq = map(np.array, zip(*points))
-    r_mag = np.sqrt(r_sq)
-    t, checks = _domain(alpha, gamma_bs, r_mag, eta)
-    scalar = []
-    for a, e, g, r in zip(alpha.tolist(), eta.tolist(), gamma_bs.tolist(), r_mag.tolist()):
+    rows = []
+    for a, e, g, r2 in zip(alpha.tolist(), eta.tolist(), gamma_bs.tolist(), r_sq.tolist()):
         try:
-            p = LqsParams(alpha=a, eta=e, gamma_bs=g, r_mag=r)
+            p = LqsParams(alpha=a, eta=e, gamma_bs=g, r_mag=math.sqrt(r2))
         except ValueError as exc:
             with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                _first_failure(checks)
+                sweep(alpha, eta, gamma_bs, r_sq)
             return
-        scalar.append(fidelity_closed_form(p))
-    _first_failure(checks)
-    assert _closed_form(np.abs(alpha), eta, gamma_bs, r_mag, t).tolist() == scalar
-    a = np.abs(alpha)
-    ppb = [fidelity_ppb(x, e) for x, e in zip(alpha.tolist(), eta.tolist())]
-    assert _ppb(a * a, eta).tolist() == ppb
+        f_ppb = fidelity_ppb(a, e) if g == 0 and abs(r2 - 0.5) < 1e-12 else None
+        rows.append([abs(a), e, g, r2, fidelity_closed_form(p), f_ppb])
+    columns = sweep(alpha, eta, gamma_bs, r_sq)
+    assert list(columns) == ["alpha_abs", "eta", "gamma_bs", "r_sq", "F_closed", "F_ppb"]
+    assert [c.tolist() for c in columns.values()] == [list(c) for c in zip(*rows)]
+    if len({*gamma_bs.tolist()}) == len({*r_sq.tolist()}) == 1:
+        broadcast = sweep(alpha, eta, gamma_bs[0].item(), r_sq[0].item())
+        assert [c.tolist() for c in broadcast.values()] == [c.tolist() for c in columns.values()]
 
 
 def _tiny(hi):

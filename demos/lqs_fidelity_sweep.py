@@ -25,8 +25,9 @@ def main():
     print()
     header = f"{'|alpha|':>8}" + "".join(f"{name:>28}" for name, _, _ in GRADES)
     print(header)
-    f_closed = [sweep(alphas, eta, gamma, (1 - gamma) / 2)["F_closed"] for _, eta, gamma in GRADES]
-    for alpha, row in zip(alphas, zip(*f_closed)):
+    _, eta, gamma = map(np.array, zip(*GRADES))
+    f_closed = sweep(alphas[:, None], eta, gamma, (1 - gamma) / 2)["F_closed"]
+    for alpha, row in zip(alphas, f_closed):
         print(f"{alpha:8.2f}" + "".join(f"{f:28.6f}" for f in row))
     print()
     print("The ideal column stays at 1: with eta = 1 and Gamma = 0 the")

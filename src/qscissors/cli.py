@@ -20,6 +20,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -227,18 +228,16 @@ def cmd_lqs(args):
     # split the output into one file per fixed combination
     sweep_key = multi[0] if multi else "alpha"
     extra = [k for k in multi if k != sweep_key]
-    combos = [()]
-    for k in extra:
-        combos = [c + (v,) for c in combos for v in axes[k]]
+    combos = list(itertools.product(*(axes[k] for k in extra)))
     if len(combos) > 1 and not args.out:
         raise ValueError("multi-axis sweep needs --out (one file per combination)")
     out_paths = [args.out]
     if extra:
-        stem, dot, suffix = args.out.rpartition(".") if "." in args.out else (args.out, "", "")
+        stem, suffix = os.path.splitext(args.out)
         out_paths = []
         for combo in combos:
             tag = "_".join(f"{k}{_fmt_cell(v)}" for k, v in zip(extra, combo))
-            path = f"{stem}_{tag}{dot}{suffix}"
+            path = f"{stem}_{tag}{suffix}"
             if path in out_paths:
                 raise ValueError(f"two parameter combinations would both write {path}")
             out_paths.append(path)
@@ -246,16 +245,14 @@ def cmd_lqs(args):
         if path:
             _check_out(path)
     fixed = [dict(zip(extra, combo)) for combo in combos]
-    # each axis over every point, table after table; a bad point leaves no output
-    shape = (len(combos), len(axes[sweep_key]))
-    columns = sweep(*(np.broadcast_to(v if k == sweep_key else [[f.get(k, v[0])] for f in fixed],
-                                      shape).ravel() for k, v in axes.items()))
+    # the swept axis along each row, one row per table; a bad point leaves no output
+    columns = sweep(*(v if k == sweep_key else [[f.get(k, v[0])] for f in fixed]
+                      for k, v in axes.items()))
     meta = {"command": "lqs", "version": __version__, "format": args.fmt,
             "swept_axis": sweep_key,
             "axes": {k: [_fmt_cell(v) for v in axes[k]] for k in axes}}
     for i, (table_fixed, out_path) in enumerate(zip(fixed, out_paths)):
-        rows = slice(i * shape[1], (i + 1) * shape[1])
-        _emit({k: v[rows] for k, v in columns.items()}, args.fmt,
+        _emit({k: v[i] for k, v in columns.items()}, args.fmt,
               dict(meta, fixed={k: _fmt_cell(v) for k, v in table_fixed.items()}), out_path)
     return 0
 

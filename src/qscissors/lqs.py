@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockVector, beam_splitter_unitary, coherent_amplitudes, coherent_state
+from .fock import NORM_TOL, FockVector, beam_splitter_unitary, coherent_amplitudes, coherent_state
 
-_COEF_TOL = 1e-10
 _ALPHA_MAX = math.sqrt(sys.float_info.max)  # largest |alpha| whose square is finite
 _LOG_MAX = math.log(sys.float_info.max)  # largest argument of a finite math.exp
 
@@ -67,7 +66,7 @@ def _loss_commutator(eta, gamma_bs):
 
 
 def _domain(alpha, gamma_bs, r_mag, eta):
-    """t and the domain checks of LqsParams at one point or a 1-d array of them.
+    """t and the domain checks of LqsParams at one point or an array of them.
 
     Returns t = sqrt(1 - Gamma - r_mag^2), which is 0 where the subtraction
     leaves |t^2| <= 1e-12 (rounding), and the checks as (mask of points
@@ -100,7 +99,7 @@ def _domain(alpha, gamma_bs, r_mag, eta):
 
 
 def _at(values, i):
-    """Point i of a scalar or a 1-d array, as a Python number."""
+    """Point i, in C order, of a scalar or an array, as a Python number."""
     return np.ravel(values)[i].item()
 
 
@@ -119,14 +118,17 @@ def sweep(alpha, eta, gamma_bs, r_sq):
     """LqsParams's checks and the fidelities of many points, as columns
     (alpha_abs, eta, gamma_bs, r_sq, F_closed, F_ppb) in CSV order.
 
-    The inputs broadcast to one axis, with r_mag = sqrt(r_sq).  Every point
-    is checked, r_sq in [0, 1] first, before any is computed; the first
-    failing point raises its first failing check's ValueError.  F_ppb is
-    fidelity_ppb where Gamma = 0 and r^2 = 0.5, and None elsewhere.
+    The inputs broadcast together, with r_mag = sqrt(r_sq), and every
+    column has their broadcast shape (0-d for four scalars); a broadcast
+    input comes back as a copy.  Every point is checked, r_sq in [0, 1]
+    first, before any is computed; the first failing point in C order
+    raises its first failing check's ValueError.  F_ppb is fidelity_ppb
+    where Gamma = 0 and r^2 = 0.5, and None elsewhere.
     """
-    alpha, eta, gamma_bs, r_sq = map(np.ravel, np.broadcast_arrays(alpha, eta, gamma_bs, r_sq))
+    alpha, eta, gamma_bs, r_sq = (np.asarray(v, order="C")
+                                  for v in np.broadcast_arrays(alpha, eta, gamma_bs, r_sq))
     r_sq_range = ((0.0 <= r_sq) & (r_sq <= 1.0),
-                  lambda i: f"--r-sq must lie in [0, 1], got {_at(r_sq, i)}")
+                  lambda i: f"r_sq must lie in [0, 1], got {_at(r_sq, i)}")
     with np.errstate(invalid="ignore"):  # r_sq outside [0, 1] fails r_sq_range first
         r_mag = np.sqrt(r_sq) + 0.0  # + 0.0 turns sqrt(-0.0) into 0.0
     t, checks = _domain(alpha, gamma_bs, r_mag, eta)
@@ -144,7 +146,7 @@ def truncated_state_general_bs(alpha, t1, r1, t2, r2):
     Amplitudes are proportional to (|r1 t2|, alpha |r2 t1|).
     """
     for t, r in ((t1, r1), (t2, r2)):
-        if abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) > _COEF_TOL:
+        if abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) > NORM_TOL:
             raise ValueError(f"BS pair (t={t}, r={r}) is not lossless")
     c0 = abs(r1) * abs(t2)
     c1 = alpha * abs(r2) * abs(t1)
@@ -163,7 +165,7 @@ def fidelity_closed_form(p):
 
 
 def _closed_form(a, eta, gamma_bs, r_mag, t):
-    """fidelity_closed_form at one point or a 1-d array of them, |alpha| = a.
+    """fidelity_closed_form at one point or an array of them, |alpha| = a.
 
     F = 1 - loss/((1 + R)(loss + t^2 (1 + R))) with R = 1/|alpha|^2 and
     loss = x r^2 + Gamma uses only + - * /, which round alike for Python

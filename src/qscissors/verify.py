@@ -68,7 +68,7 @@ def suite_lqs_identity(seed):
 def suite_lqs_ppb(seed):
     """Closed form at Gamma=0, 50/50 split vs the projection-synthesis formula."""
     alphas = np.linspace(0.05, 2.0, 21)
-    grid = lqs.sweep(np.repeat(alphas, 11), np.tile(np.linspace(0.05, 1.0, 11), 21), 0.0, 0.5)
+    grid = lqs.sweep(alphas[:, None], np.linspace(0.05, 1.0, 11), 0.0, 0.5)
     unity = lqs.sweep(np.append(alphas, 1.3), 1.0, 0.0, 0.5)
     devs = np.abs(np.append(grid["F_closed"] - grid["F_ppb"].astype(float),
                             unity["F_closed"] - 1.0))

@@ -16,7 +16,6 @@ reference trajectory.
 import contextlib
 import io
 import json
-import math
 import time
 
 import numpy as np
@@ -82,9 +81,9 @@ CRITERIA = {
     2: ("lqs-ppb", 1.0),
     3: ("lqs-gram", 10.0),
     4: ("lqs-projection", 10.0),
-    5: ("nqs-limits", math.inf),
+    5: ("nqs-limits", 1.0),
     6: ("nqs-rk4", 30.0),
-    7: ("nqs-kick", math.inf),
+    7: ("nqs-kick", 1.0),
 }
 
 

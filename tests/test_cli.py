@@ -109,6 +109,16 @@ def test_lqs_multi_axis_needs_out(tmp_path, capsys):
         assert len(rows) == 4  # header + swept alpha axis
 
 
+def test_lqs_file_tags_go_before_the_extension_of_the_file_name(tmp_path):
+    # a dot in a directory name is not the file's extension
+    (tmp_path / "run.v2").mkdir()
+    args = ["lqs", "--alpha", "0:1:3", "--eta", "0.9", "--gamma-bs", "0:0.1:2",
+            "--r-sq", "0.5", "--out", str(tmp_path / "run.v2" / "sweep")]
+    assert main(args) == 0
+    assert sorted(p.name for p in (tmp_path / "run.v2").iterdir()) == [
+        "sweep_gamma_bs0", "sweep_gamma_bs0.1"]
+
+
 def test_lqs_file_tags_keep_fifteen_digits(tmp_path):
     # values equal to six significant digits still get one file each
     args = ["lqs", "--alpha", "0:1:3", "--eta", "0.9", "--gamma-bs", "0",
@@ -356,10 +366,10 @@ _NQS = ["nqs", "--epsilon", "0.1", "--kicks", "2", "--cutoff", "10"]
 
 
 @pytest.mark.parametrize("argv, field", [
-    (_LQS + ["--gamma-bs", "0", "--r-sq", "-0.25"], "--r-sq"),
+    (_LQS + ["--gamma-bs", "0", "--r-sq", "-0.25"], "r_sq"),
     (_LQS + ["--gamma-bs", "0.6", "--r-sq", "0.6"], "gamma_bs"),
-    (_LQS + ["--gamma-bs", "0", "--r-sq", "1.5"], "--r-sq"),
-    (_LQS + ["--gamma-bs", "0", "--r-sq", "nan"], "--r-sq"),
+    (_LQS + ["--gamma-bs", "0", "--r-sq", "1.5"], "r_sq"),
+    (_LQS + ["--gamma-bs", "0", "--r-sq", "nan"], "r_sq"),
     (_LQS + ["--gamma-bs", "nan", "--r-sq", "0.5"], "gamma_bs"),
     (["lqs", "--alpha", "nan", "--eta", "0.9", "--gamma-bs", "0", "--r-sq", "0.5"], "alpha"),
     (["lqs", "--alpha", "inf", "--eta", "0.9", "--gamma-bs", "0", "--r-sq", "0.5"], "alpha"),
@@ -379,7 +389,7 @@ _NQS = ["nqs", "--epsilon", "0.1", "--kicks", "2", "--cutoff", "10"]
     # the first failing point is reported by its first failing check: point 0
     # fails r_mag^2 + Gamma before point 1 fails the r^2 range, and vice versa
     (_LQS + ["--gamma-bs", "0.6", "--r-sq", "0.5:1.5:2"], "= 1.1 exceeds 1"),
-    (_LQS + ["--gamma-bs", "0.6", "--r-sq", "1.5:0.5:2"], "--r-sq must lie in [0, 1], got 1.5"),
+    (_LQS + ["--gamma-bs", "0.6", "--r-sq", "1.5:0.5:2"], "r_sq must lie in [0, 1], got 1.5"),
 ])
 def test_out_of_domain_inputs_exit_2(capsys, argv, field):
     with warnings.catch_warnings(record=True) as caught:

@@ -409,6 +409,31 @@ def test_array_closed_forms_equal_scalar_bit_for_bit(points):
         assert [c.tolist() for c in broadcast.values()] == [c.tolist() for c in columns.values()]
 
 
+def test_sweep_keeps_the_broadcast_shape():
+    # a (3, 4) grid gives (3, 4) columns equal, point by point, to the
+    # flattened grid's; a refused point is the first in C order, point
+    # (0, 2) here and not (2, 0); four scalars give 0-d columns
+    def flat(*inputs):
+        return sweep(*(np.broadcast_to(v, (3, 4)).ravel() for v in inputs))
+
+    inputs = (np.array([[-1.5], [0.0], [2.0]]), np.array([0.3, 0.6, 0.9, 1.0]),
+              np.array([0.0, 0.0, 0.1, 0.0]), 0.5)
+    grid, reference = sweep(*inputs), flat(*inputs)
+    assert list(grid) == list(reference)
+    for name, column in grid.items():
+        assert column.shape == (3, 4)
+        assert column.tolist() == reference[name].reshape(3, 4).tolist()
+    grid["eta"][0, 0] = 0.0  # a broadcast input comes back as a copy
+    assert grid["eta"][1, 0] == 0.3 and inputs[1][0] == 0.3
+    refused = (inputs[0], 0.9, np.array([0.0, 0.0, 0.6, 0.0]), np.array([[0.5], [0.5], [1.5]]))
+    for call in (flat, sweep):
+        with pytest.raises(ValueError, match=r"^r_mag\^2 \+ Gamma \(gamma_bs\) = 1.1 exceeds 1$"):
+            call(*refused)
+    point = sweep(1.0, 0.9, 0.0, 0.5)
+    assert [np.shape(c) for c in point.values()] == [()] * 6
+    assert point["F_ppb"].item() == fidelity_ppb(1.0, 0.9)
+
+
 def _tiny(hi):
     """Positive floats up to `hi`, subnormals included."""
     return st.floats(5e-324, hi, allow_subnormal=True)

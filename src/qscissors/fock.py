@@ -3,12 +3,14 @@
 States, ladder operators and beam-splitter unitaries on photon-number-
 truncated Hilbert spaces.  All matrices are dense; the cutoffs used here (a
 few tens of levels) make sparsity pointless.  Every unitary is exp(-iH) of
-a Hermitian generator, computed by _expm_hermitian from one batched
-np.linalg.eigh.  A beam-splitter unitary lives on its own two modes; its
-generator conserves the total photon number, so its blocks of fixed total
-are zero-padded into one stack and exponentiated in one call, no block
-larger than the shorter mode's dimension.  The multi-mode states it acts
-on are plain amplitude tensors, one axis per mode.
+a Hermitian generator, V diag(e^{-i lambda}) V^dag from one batched
+np.linalg.eigh (_unitary_from_eigh).  A beam-splitter unitary lives on its
+own two modes; its generator conserves the total photon number, so its
+blocks of fixed total are zero-padded into one stack, no block larger than
+the shorter mode's dimension.  That stack is the mixing angle times a fixed
+real matrix, so its eigendecomposition is taken once per pair of mode
+dimensions and cached; a call only puts in the angle and the phases.  The
+multi-mode states it acts on are plain amplitude tensors, one axis per mode.
 
 Per-diagonal propagators, of the damped Kerr steps and of RK4 alike, have
 one format: a (d, d, d) stack whose block x acts on the entries
@@ -207,15 +209,48 @@ def annihilation_matrix(cutoff):
     return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), 1).astype(complex)
 
 
-def _expm_hermitian(h):
-    """exp(-ih) of a Hermitian matrix, or of each matrix of a (..., m, m) stack.
+def _unitary_from_eigh(lam, v):
+    """V diag(e^{-i lambda}) V^dag, of one eigendecomposition or of a stack.
 
-    One batched eigh, h = V diag(lambda) V^dag, then V diag(e^{-i lambda})
-    V^dag.  On a degenerate eigenvalue V is fixed only up to a unitary mix
-    of its eigenvectors, which leaves the product unchanged.
+    On a degenerate eigenvalue V is fixed only up to a unitary mix of its
+    eigenvectors, which leaves the product unchanged.
     """
-    lam, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * lam)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _expm_hermitian(h):
+    """exp(-ih) of a Hermitian matrix, or of each matrix of a (..., m, m) stack,
+    from one batched eigh, h = V diag(lambda) V^dag."""
+    return _unitary_from_eigh(*np.linalg.eigh(h))
+
+
+@functools.lru_cache(maxsize=8)
+def _splitter_eigh(d_i, d_j):
+    """The angle-free part of beam_splitter_unitary, read-only: (lam, v) of
+    its real block stack W = V diag(lam) V^T, the flat positions in W of the
+    entries inside a block, and their flat positions in the unitary."""
+    # [N, a]: position a of block N holds |k, N - k>, k counted up from the
+    # smallest k of the block; positions past the block's size are padding
+    m = min(d_i, d_j)
+    total = np.arange(d_i + d_j - 1)[:, None]
+    k = np.maximum(total - d_j + 1, 0) + np.arange(m)
+    inside = k <= np.minimum(total, d_i - 1)
+    # a_i^dag a_j raises k by one with weight sqrt((k+1)(N-k)), a_i a_j^dag
+    # lowers it with the same weight; zero where k + 1 is padding
+    w = np.sqrt((k[:, :-1] + 1) * (total - k[:, :-1]) * inside[:, 1:])
+    a = np.arange(m - 1)
+    stack = np.zeros((total.size, m, m))
+    stack[:, a + 1, a] = stack[:, a, a + 1] = w
+    lam, v = np.linalg.eigh(stack)
+    # each block's corner goes to the pair-space indices k d_j + N - k
+    idx = k * d_j + total - k
+    both = inside[:, :, None] & inside[:, None, :]
+    rows = np.broadcast_to(idx[:, :, None], both.shape)[both]
+    cols = np.broadcast_to(idx[:, None, :], both.shape)[both]
+    arrays = (lam, v, np.flatnonzero(both), rows * (d_i * d_j) + cols)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def beam_splitter_unitary(t, r, d_i, d_j):
@@ -228,12 +263,13 @@ def beam_splitter_unitary(t, r, d_i, d_j):
     The returned matrix is indexed like np.kron of mode i with mode j.  The
     truncated generator conserves n_i + n_j, so it splits into d_i + d_j - 1
     blocks of fixed total photon number N, each in the basis |k, N - k>.
-    The blocks, times i, are zero-padded to the shorter mode's dimension and
-    exponentiated as one Hermitian stack by _expm_hermitian; the padding
-    has eigenvalue 0, so each block's corner of the result is its own
-    exponential.  A block couples neighbouring basis states only, all with
-    the phase g = i r^*/|r|, so the stack is taken real symmetric, in the
-    basis g^k |k, N - k>, and the phases are put back on the result.
+    The blocks, times i, are zero-padded to the shorter mode's dimension
+    into one Hermitian stack; the padding has eigenvalue 0, so each block's
+    corner of its exponential is the block's own.  A block couples
+    neighbouring basis states only, all with the phase g = i r^*/|r|, so
+    the stack is taken real symmetric, in the basis g^k |k, N - k>, and the
+    phases are put back on the result.  It is then |phi| times a fixed
+    matrix, whose eigendecomposition _splitter_eigh caches per (d_i, d_j).
     """
     t = float(t)
     r = complex(r)
@@ -243,24 +279,9 @@ def beam_splitter_unitary(t, r, d_i, d_j):
         return np.eye(d_i * d_j, dtype=complex)
     theta = np.arccos(min(t, 1.0))
     g = 1j * r.conjugate() / abs(r)  # i phi = g theta
-    # [N, a]: position a of block N holds |k, N - k>, k counted up from the
-    # smallest k of the block; positions past the block's size are padding
-    m = min(d_i, d_j)
-    total = np.arange(d_i + d_j - 1)[:, None]
-    k = np.maximum(total - d_j + 1, 0) + np.arange(m)
-    inside = k <= np.minimum(total, d_i - 1)
-    # a_i^dag a_j raises k by one with weight sqrt((k+1)(N-k)), a_i a_j^dag
-    # lowers it with the same weight; zero where k + 1 is padding
-    w = np.sqrt((k[:, :-1] + 1) * (total - k[:, :-1]) * inside[:, 1:])
-    a = np.arange(m - 1)
-    h = np.zeros((total.size, m, m))
-    h[:, a + 1, a] = h[:, a, a + 1] = theta * w
-    gauge = g ** np.arange(m)  # g^a, not g^k: a block's common factor g^(k - a) cancels
-    blocks = _expm_hermitian(h) * gauge[:, None] * gauge.conj()
-    # scatter each block's corner to the pair-space indices k d_j + N - k
-    idx = k * d_j + total - k
-    both = inside[:, :, None] & inside[:, None, :]
-    u = np.zeros((d_i * d_j, d_i * d_j), dtype=complex)
-    u[np.broadcast_to(idx[:, :, None], both.shape)[both],
-      np.broadcast_to(idx[:, None, :], both.shape)[both]] = blocks[both]
-    return u
+    lam, v, src, dst = _splitter_eigh(d_i, d_j)
+    gauge = g ** np.arange(v.shape[-1])  # g^a, not g^k: a block's common factor g^(k - a) cancels
+    blocks = _unitary_from_eigh(theta * lam, v) * gauge[:, None] * gauge.conj()
+    u = np.zeros((d_i * d_j) ** 2, dtype=complex)
+    u[dst] = blocks.reshape(-1)[src]
+    return u.reshape(d_i * d_j, d_i * d_j)

@@ -273,9 +273,11 @@ def env_gram_oracle(p):
     with commutator Gamma (photon lost at the first BS) and two with
     commutator x = eta*Gamma + 1 - eta (loss dressed by the detector) on
     the one-photon and coherent paths.  The two environment bundles that
-    multiply |0>_b1 and |1>_b1 are built as explicit state vectors, the
-    normalization follows from <psi|psi> = 1, and the fidelity from the
-    squared overlap with the ideal truncated state.
+    multiply |0>_b1 and |1>_b1 are built as explicit state vectors, one
+    (2, 2, cutoff + 2) amplitude array each, every term written into its
+    block of photon numbers in the two loss modes; the normalization
+    follows from <psi|psi> = 1 over the whole vectors, and the fidelity
+    from the squared overlap with the ideal truncated state.
 
     Returns (N, F).  The coherent-like environment mode is cut off where
     the neglected tail is below 1e-12 of e^{x|alpha|^2}; the search starts
@@ -296,14 +298,15 @@ def env_gram_oracle(p):
     while _poisson_tail_bound(b2, env_cutoff) > 1e-12:
         env_cutoff += 1
     v3 = coherent_amplitudes(beta, env_cutoff + 1)
-    g0 = np.array([1.0, 0.0], dtype=complex)
-    g1 = np.array([0.0, 1.0], dtype=complex)
     front = math.sqrt(p.eta) * p.r
-    # the two bundles as flat vectors over the (2, 2, env_cutoff + 1) modes
-    lam0 = (front * p.t * np.kron(np.kron(g0, g0), v3)
-            + front * alpha * p.r * math.sqrt(x) * np.kron(np.kron(g0, g1), v3)
-            + front * alpha * math.sqrt(G) * np.kron(np.kron(g1, g0), v3))
-    lam1 = front * p.t * np.kron(np.kron(g0, g0), v3)
+    # the two bundles over the (2, 2, env_cutoff + 2) modes: [Gamma mode,
+    # one-photon path's x mode, coherent-like mode]
+    lam0 = np.zeros((2, 2, v3.size), dtype=complex)
+    lam0[0, 0] = front * p.t * v3
+    lam0[0, 1] = front * alpha * p.r * math.sqrt(x) * v3
+    lam0[1, 0] = front * alpha * math.sqrt(G) * v3
+    lam1 = np.zeros_like(lam0)
+    lam1[0, 0] = front * p.t * v3
     # 1/N^2 = e^{x|alpha|^2} * scaled_n2_inv
     scaled_n2_inv = np.linalg.norm(lam0)**2 + a2 * np.linalg.norm(lam1)**2
     if scaled_n2_inv < sys.float_info.min:

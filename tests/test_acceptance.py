@@ -79,10 +79,10 @@ FROZEN_TRAJECTORY = [
 CRITERIA = {
     1: ("lqs-identity", 1.0),
     2: ("lqs-ppb", 1.0),
-    3: ("lqs-gram", 10.0),
-    4: ("lqs-projection", 10.0),
+    3: ("lqs-gram", 1.0),
+    4: ("lqs-projection", 1.0),
     5: ("nqs-limits", 1.0),
-    6: ("nqs-rk4", 30.0),
+    6: ("nqs-rk4", 1.0),
     7: ("nqs-kick", 1.0),
 }
 

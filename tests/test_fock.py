@@ -16,6 +16,7 @@ from qscissors.fock import (
     _apply_diagonal_propagators,
     _checked_trace,
     _expm_hermitian,
+    _splitter_eigh,
     annihilation_matrix,
     beam_splitter_unitary,
     coherent_state,
@@ -168,6 +169,11 @@ def test_beam_splitter_heisenberg_action():
 @example(t_sq=0.63, r_phase=1.1, d0=2, d1=14, swap=True)
 @example(t_sq=0.5, r_phase=np.pi / 2, d0=14, d1=14, swap=False)
 @example(t_sq=0.21, r_phase=4.0, d0=17, d1=17, swap=False)
+# a mode of dimension 1 (every block of size 1), t = 1 - 1e-16 and t = 0
+@example(t_sq=0.4, r_phase=0.3, d0=1, d1=5, swap=False)
+@example(t_sq=0.4, r_phase=0.3, d0=1, d1=5, swap=True)
+@example(t_sq=(1 - 1e-16) ** 2, r_phase=np.pi / 2, d0=4, d1=6, swap=False)
+@example(t_sq=0.0, r_phase=2.5, d0=5, d1=5, swap=False)
 def test_beam_splitter_blocks_equal_full_space_expm(t_sq, r_phase, d0, d1, swap):
     # the photon-number-block exponential must equal expm of the generator
     # assembled on the whole pair space from kron'd ladders
@@ -214,6 +220,30 @@ def test_expm_hermitian_equals_scipy_expm(h):
     got = _expm_hermitian(h)
     want = np.array([expm(-1j * block) for block in h])
     assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_cached_splitter_basis_gives_the_bits_of_a_cold_call():
+    # shapes interleaved at several angles, every call after the first of its
+    # shape a cache hit: each must equal, bit for bit, a call that rebuilds
+    # the eigendecomposition after the cache is cleared
+    shapes = [(2, 14), (14, 14), (2, 17), (17, 17), (1, 4), (4, 1)]
+    pairs = [(np.sqrt(t_sq), np.sqrt(1.0 - t_sq) * np.exp(1j * phase))
+             for t_sq, phase in ((0.37, np.pi / 2), (0.0, 1.1), (0.83, 4.0), (0.5, -0.6))]
+    _splitter_eigh.cache_clear()
+    warm = {(t, r, shape): beam_splitter_unitary(t, r, *shape)
+            for t, r in pairs for shape in shapes}
+    assert _splitter_eigh.cache_info().hits == len(warm) - len(shapes)
+    for (t, r, shape), u in warm.items():
+        _splitter_eigh.cache_clear()
+        assert beam_splitter_unitary(t, r, *shape).tobytes() == u.tobytes()
+
+
+def test_cached_splitter_basis_is_read_only():
+    for shape in ((2, 14), (1, 4), (5, 3)):
+        for arr in _splitter_eigh(*shape):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.reshape(-1)[0] = 0
 
 
 def test_beam_splitter_rejects_lossy_pair():

@@ -156,6 +156,69 @@ def test_gram_oracle_matches_closed_forms():
     assert abs(F - 0.9632168043712539) < 1e-12
 
 
+def _env_gram_kron(p):
+    """env_gram_oracle with its bundles built as flat vectors from np.kron
+    of one-hot mode vectors, the reference for its block-array build."""
+    alpha = complex(p.alpha)
+    a2 = abs(alpha) ** 2
+    x, G = p.x, p.gamma_bs
+    beta = alpha * math.sqrt(x)
+    b2 = abs(beta) ** 2
+    env_cutoff = max(8, math.ceil(b2))
+    while lqs._poisson_tail_bound(b2, env_cutoff) > 1e-12:
+        env_cutoff += 1
+    v3 = lqs.coherent_amplitudes(beta, env_cutoff + 1)
+    g0 = np.array([1.0, 0.0], dtype=complex)
+    g1 = np.array([0.0, 1.0], dtype=complex)
+    front = math.sqrt(p.eta) * p.r
+    # the two bundles as flat vectors over the (2, 2, env_cutoff + 1) modes
+    lam0 = (front * p.t * np.kron(np.kron(g0, g0), v3)
+            + front * alpha * p.r * math.sqrt(x) * np.kron(np.kron(g0, g1), v3)
+            + front * alpha * math.sqrt(G) * np.kron(np.kron(g1, g0), v3))
+    lam1 = front * p.t * np.kron(np.kron(g0, g0), v3)
+    # 1/N^2 = e^{x|alpha|^2} * scaled_n2_inv
+    scaled_n2_inv = np.linalg.norm(lam0)**2 + a2 * np.linalg.norm(lam1)**2
+    if scaled_n2_inv < sys.float_info.min:
+        raise FloatingPointError(f"the Gram norm {scaled_n2_inv:.3e} is below the normal float "
+                                 f"range at |alpha| = {abs(alpha):.6g}, t = {p.t:.6g}")
+    N = math.exp(-b2 / 2) / math.sqrt(scaled_n2_inv)
+    if N < sys.float_info.min:
+        raise FloatingPointError(f"N = {N:.3e} is below the normal float range "
+                                 f"at x|a|^2 = {b2:.6g}")
+    combined = lam0 + a2 * lam1
+    F = float(np.vdot(combined, combined).real) / scaled_n2_inv / (1.0 + a2)
+    return N, F
+
+
+def _gram_draws():
+    """200 seeded draws over the oracle's domain, then its corners t = 0,
+    Gamma = 0 and eta = 1."""
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        gamma = rng.uniform(0.0, 0.3)
+        yield LqsParams(alpha=rng.uniform(0.0, 5.0) * cmath.exp(2j * math.pi * rng.uniform()),
+                        eta=rng.uniform(0.05, 1.0), gamma_bs=gamma,
+                        r_mag=math.sqrt(rng.uniform(0.05, 1.0 - gamma)))
+    yield LqsParams(alpha=0.8j, eta=0.6, gamma_bs=0.3, r_mag=math.sqrt(0.7))  # t = 0
+    yield LqsParams(alpha=1.2, eta=0.6, gamma_bs=0.0, r_mag=0.6)
+    yield LqsParams(alpha=-0.4, eta=1.0, gamma_bs=0.1, r_mag=0.5)
+    yield LqsParams(alpha=2.0, eta=0.8, gamma_bs=0.0, r_mag=1.0)  # t = 0 and Gamma = 0
+    yield LqsParams(alpha=2.0, eta=1.0, gamma_bs=0.0, r_mag=0.5)  # Gamma = 0 and eta = 1
+    yield LqsParams(alpha=0.0, eta=0.7, gamma_bs=0.2, r_mag=0.5)
+
+
+def test_gram_oracle_equals_kron_reference_bit_for_bit():
+    for p in _gram_draws():
+        got = env_gram_oracle(p)
+        want = _env_gram_kron(p)
+        assert [v.hex() for v in got] == [v.hex() for v in want], p
+    # t = 0 with a subnormal |alpha|: both refuse the underflowed Gram norm
+    p = LqsParams(alpha=1e-170, eta=0.5, gamma_bs=0.0, r_mag=1.0)
+    for route in (env_gram_oracle, _env_gram_kron):
+        with pytest.raises(FloatingPointError, match="Gram norm 0.000e\\+00"):
+            route(p)
+
+
 def test_gram_oracle_large_amplitude_cutoff_search():
     # x|alpha|^2 = 65: the search must start past the Poisson peak and
     # bound the tail without subtracting from e^65

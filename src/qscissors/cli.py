@@ -32,7 +32,7 @@ from . import __version__
 from .fock import CutoffError
 from .lqs import sweep
 from .nqs import NqsParams, _trajectory
-from .verify import SUITES
+from .verify import SUITES, _row
 
 
 def parse_range(text):
@@ -279,18 +279,17 @@ def cmd_nqs(args):
 def cmd_verify(args):
     if args.out:
         _check_out(args.out)
-    results = [SUITES[name](args.seed) for name in ([args.suite] if args.suite else SUITES)]
-    columns = {"suite": [r.name for r in results], "passed": [r.passed for r in results],
-               "max_dev": [r.max_dev for r in results],
-               "tolerance": [r.tolerance for r in results], "detail": [r.detail for r in results]}
+    names = [args.suite] if args.suite else SUITES
+    rows = [_row(name, SUITES[name](args.seed)) for name in names]
+    columns = {key: [row[key] for row in rows] for key in rows[0]}
     meta = {"command": "verify", "version": __version__, "seed": args.seed,
             "suites": columns["suite"]}
     _emit(columns, args.fmt, meta, args.out)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name}: max deviation {r.max_dev:.3e} "
-              f"(tolerance {r.tolerance:.0e}) - {r.detail}", file=sys.stderr)
-    return 0 if all(r.passed for r in results) else 1
+    for row in rows:
+        print(f"{'PASS' if row['passed'] else 'FAIL'} {row['suite']}: max deviation "
+              f"{row['max_dev']:.3e} (tolerance {row['tolerance']:.0e}) - {row['detail']}",
+              file=sys.stderr)
+    return 0 if all(columns["passed"]) else 1
 
 
 def main(argv=None):

@@ -280,7 +280,8 @@ def env_gram_oracle(p):
     from the squared overlap with the ideal truncated state.
 
     Returns (N, F).  The coherent-like environment mode is cut off where
-    the neglected tail is below 1e-12 of e^{x|alpha|^2}; the search starts
+    the neglected tail is below 1e-16 of e^{x|alpha|^2}, under the rounding
+    of a float, so N is good to its last digits at any size; the search starts
     past the Poisson peak, so the tail bound holds at every cutoff it
     tries.  That mode carries exp(beta c^dag)|0>, beta = alpha sqrt(x),
     whose squared norm e^{x|alpha|^2} overflows a float from x|alpha|^2 of
@@ -295,7 +296,7 @@ def env_gram_oracle(p):
     beta = alpha * math.sqrt(x)
     b2 = abs(beta) ** 2
     env_cutoff = max(8, math.ceil(b2))
-    while _poisson_tail_bound(b2, env_cutoff) > 1e-12:
+    while _poisson_tail_bound(b2, env_cutoff) > 1e-16:
         env_cutoff += 1
     v3 = coherent_amplitudes(beta, env_cutoff + 1)
     front = math.sqrt(p.eta) * p.r

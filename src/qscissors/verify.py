@@ -1,43 +1,38 @@
 """Oracle-equivalence suites: the one implementation of each oracle check.
 
 Each suite pits a closed-form expression against an independent route to
-the same number (brute-force simulation, matrix exponential, RK4) and
-reports the worst deviation.  Every suite takes the seed of its random
-draws (suites without draws ignore it).  The command line's ``verify``
-subcommand runs the suites of ``SUITES``, and acceptance criteria 1-7 and 9
-(``tests/test_acceptance.py``) read the rows of one ``qscissors verify``
+the same number (brute-force simulation, matrix exponential, RK4).  It
+takes the seed of its random draws (suites without draws ignore it) and
+returns its sub-checks as (label, deviations, tolerance) triples, so each
+tolerance is written once; `_row` turns a suite's name and sub-checks into
+its ``qscissors verify`` row.  The tolerances sit close enough above the
+worst deviations measured, at the fixed points or over seeds 0-1999, that
+a relative 1e-9 error in any formula a suite checks fails a row
+(``tests/test_oracle_power.py``).  The command line's ``verify``
+subcommand runs the suites of ``SUITES``, and acceptance criteria 1-7 and
+9 (``tests/test_acceptance.py``) read the rows of one ``qscissors verify``
 run rather than repeating the checks.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock, lindblad, lqs, nqs
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    passed: bool
-    max_dev: float
-    tolerance: float
-    detail: str
-
-
-def _result(name, checks, detail):
-    """A suite's row from its sub-checks, a list of (deviations, tolerance).
+def _row(name, checks):
+    """The ``verify`` row of suite `name`, from its (label, deviations, tolerance) sub-checks.
 
     The row reports the sub-check with the largest deviation/tolerance
     ratio, so that passed == (max_dev < tolerance) holds; a nan deviation
-    fails.
+    fails.  The detail is a lone sub-check's label, or else every sub-check
+    as "label <worst deviation> (tol <tolerance>)".
     """
-    worst = []
-    for devs, tol in checks:
-        dev = float(np.max(devs))
-        worst.append((np.inf if np.isnan(dev) else dev / tol, dev, tol))
-    _, dev, tol = max(worst)
-    return SuiteResult(name, dev < tol, dev, tol, detail)
+    worst = [(label, float(np.max(devs)), tol) for label, devs, tol in checks]
+    _, dev, tol = max(worst, key=lambda c: np.inf if np.isnan(c[1]) else c[1] / c[2])
+    detail = worst[0][0] if len(worst) == 1 else ", ".join(
+        f"{label} {d:.2e} (tol {t:.0e})" for label, d, t in worst)
+    return {"suite": name, "passed": dev < tol, "max_dev": dev, "tolerance": tol,
+            "detail": detail}
 
 
 def _random_density(rng, dim):
@@ -62,7 +57,7 @@ def suite_lqs_identity(seed):
     for _ in range(1000):
         p = _random_lqs_params(rng)
         devs.append(abs(lqs.fidelity_unsimplified(p) - lqs.fidelity_closed_form(p)))
-    return _result("lqs-identity", [(devs, 1e-12)], "1000 random complex-alpha draws")
+    return [("1000 random complex-alpha draws", devs, 1e-12)]
 
 
 def suite_lqs_ppb(seed):
@@ -72,7 +67,7 @@ def suite_lqs_ppb(seed):
     unity = lqs.sweep(np.append(alphas, 1.3), 1.0, 0.0, 0.5)
     devs = np.abs(np.append(grid["F_closed"] - grid["F_ppb"].astype(float),
                             unity["F_closed"] - 1.0))
-    return _result("lqs-ppb", [(devs, 1e-12)], "21x11 grid + unity at eta=1 for 22 alphas")
+    return [("21x11 grid + unity at eta=1 for 22 alphas", devs, 1e-12)]
 
 
 def suite_lqs_gram(seed):
@@ -84,7 +79,7 @@ def suite_lqs_gram(seed):
         n_oracle, f_oracle = lqs.env_gram_oracle(p)
         devs.append(abs(n_oracle - lqs.normalization_closed_form(p)))
         devs.append(abs(f_oracle - lqs.fidelity_closed_form(p)))
-    return _result("lqs-gram", [(devs, 1e-10)], "100 random complex-alpha draws, N and F")
+    return [("100 random complex-alpha draws, N and F", devs, 5e-12)]
 
 
 def suite_lqs_projection(seed):
@@ -107,8 +102,7 @@ def suite_lqs_projection(seed):
         psi = lqs.lqs_projection_oracle(alpha, t1, r1, 15, t2, r2)[0].amplitudes
         target = lqs.truncated_state_general_bs(alpha, t1, r1, t2, r2).amplitudes
         devs.append(np.max(np.abs(psi * abs(psi[0]) / psi[0] - target)))
-    return _result("lqs-projection", [(devs, 1e-10)],
-                   f"{len(cases)} cases, |alpha| <= 1, cutoff 15")
+    return [(f"{len(cases)} cases, |alpha| <= 1, cutoff 15", devs, 1e-10)]
 
 
 def suite_nqs_limits(seed):
@@ -118,15 +112,11 @@ def suite_nqs_limits(seed):
     p0 = nqs.NqsParams(epsilon=0.1, kicks=0, cutoff=15, lam=0.2, nbar=0.0)
     a = nqs.analytic_damped_step_thermal(rho, 1.3, p0)
     b = nqs.analytic_damped_step_zero_T(rho, 1.3, p0)
-    dev_a = float(np.max(np.abs(a.elements - b.elements)))
     p_tiny = nqs.NqsParams(epsilon=0.1, kicks=0, cutoff=15, lam=1e-12, nbar=0.0)
     c = nqs.analytic_damped_step_zero_T(rho, 0.7, p_tiny)
     d = nqs.unitary_kerr_step(rho, 0.7)
-    dev_b = float(np.max(np.abs(c.elements - d.elements)))
-    return _result(
-        "nqs-limits", [(dev_a, 1e-12), (dev_b, 1e-8)],
-        f"nbar=0 chain {dev_a:.2e} (tol 1e-12), lambda->0 chain {dev_b:.2e} (tol 1e-8)",
-    )
+    return [("nbar=0 chain", np.abs(a.elements - b.elements), 1e-12),
+            ("lambda->0 chain", np.abs(c.elements - d.elements), 3e-11)]
 
 
 def suite_nqs_rk4(seed):
@@ -147,10 +137,7 @@ def suite_nqs_rk4(seed):
         ana = nqs.analytic_damped_step_thermal(rho0, 1.0, p)
         ref = lindblad.integrate(rho0, 1.0, p, lindblad.IntegratorConfig(dt=5e-4))
         dev_th.append(np.max(np.abs(ana.elements - ref.elements)))
-    return _result(
-        "nqs-rk4", [(dev_zero, 1e-6), (dev_th, 1e-5)],
-        f"zero-T {np.max(dev_zero):.2e} (tol 1e-6), thermal {np.max(dev_th):.2e} (tol 1e-5)",
-    )
+    return [("zero-T", dev_zero, 1e-10), ("thermal", dev_th, 2e-11)]
 
 
 def suite_nqs_kick(seed):
@@ -169,11 +156,7 @@ def suite_nqs_kick(seed):
     for c in (15, 20):
         rec = nqs.evolve_kicked(nqs.NqsParams(epsilon=eps, kicks=1, cutoff=c, lam=0.0))[1]
         dev_f.append(abs(rec.fidelity - closed_f))
-    return _result(
-        "nqs-kick", [(dev, 1e-10), (dev_f, 1e-12)],
-        f"matrix {np.max(dev):.2e} (tol 1e-10), single-kick fidelity at cutoffs 15 and 20 "
-        f"{np.max(dev_f):.2e} (tol 1e-12)",
-    )
+    return [("matrix", dev, 1e-11), ("single-kick fidelity at cutoffs 15 and 20", dev_f, 1e-12)]
 
 
 SUITES = {

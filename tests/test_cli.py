@@ -491,6 +491,13 @@ def test_verify_single_suite_exit_0(capsys):
     assert "PASS" in out.err
 
 
+@pytest.mark.parametrize("seed", ["1257", "0", "7", "101"])
+def test_verify_gram_passes_at_seed(capsys, seed):
+    # seed 1257 draws N near 3e2, where a Gram oracle good to 5e-13 relative failed
+    assert main(["verify", "--suite", "lqs-gram", "--seed", seed]) == 0
+    assert capsys.readouterr().err.startswith("PASS lqs-gram")
+
+
 @pytest.mark.parametrize("suite", ["lqs-ppb", "lqs-identity"])
 def test_verify_negative_seed_exits_2(tmp_path, capsys, suite):
     for argv in (["verify", "--suite", suite, "--seed", "-1"],
@@ -502,7 +509,7 @@ def test_verify_negative_seed_exits_2(tmp_path, capsys, suite):
 
 def test_verify_row_reports_worst_subcheck(monkeypatch, capsys):
     # the nbar=0 chain (tolerance 1e-12) fails while the lambda->0 chain
-    # (tolerance 1e-8) passes: the row must report the failing sub-check
+    # (tolerance 3e-11) passes: the row must report the failing sub-check
     thermal = nqs.analytic_damped_step_thermal
     monkeypatch.setattr(nqs, "analytic_damped_step_thermal",
                         lambda *a: SimpleNamespace(elements=thermal(*a).elements + 1e-10))
@@ -510,6 +517,40 @@ def test_verify_row_reports_worst_subcheck(monkeypatch, capsys):
     (row,) = json.loads(capsys.readouterr().out)["rows"]
     assert row["passed"] is False
     assert row["max_dev"] >= row["tolerance"] == 1e-12
+
+
+def test_verify_row_nan_deviation_fails():
+    row = verify._row("s", [("a", [0.0, np.nan], 1e-12), ("b", [1e-9], 1e-8)])
+    assert row["passed"] is False and np.isnan(row["max_dev"]) and row["tolerance"] == 1e-12
+
+
+def test_verify_row_worst_ratio_and_detail():
+    # b deviates more, but a is nearer its tolerance (ratio 0.3 against 0.2)
+    row = verify._row("s", [("a", [1e-13, 3e-13], 1e-12), ("b", [2e-9], 1e-8)])
+    assert row == {"suite": "s", "passed": True, "max_dev": 3e-13, "tolerance": 1e-12,
+                   "detail": "a 3.00e-13 (tol 1e-12), b 2.00e-09 (tol 1e-08)"}
+    assert verify._row("s", [("lone check", [3.0, 1.0], 2.0)]) == {
+        "suite": "s", "passed": False, "max_dev": 3.0, "tolerance": 2.0, "detail": "lone check"}
+
+
+def _ratio(dev, tol):
+    return np.inf if np.isnan(dev) else dev / tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.floats(min_value=0.0) | st.just(np.nan), min_size=1,
+                                   max_size=3),
+                          st.floats(min_value=1e-300, max_value=1e300)),
+                min_size=1, max_size=4))
+def test_verify_row_passes_only_if_every_subcheck_passes(checks):
+    row = verify._row("s", [(f"check{i}", devs, tol) for i, (devs, tol) in enumerate(checks)])
+    worst = [(float(np.max(devs)), tol) for devs, tol in checks]
+    assert row["passed"] == (row["max_dev"] < row["tolerance"])
+    assert row["passed"] == all(dev < tol for dev, tol in worst)
+    assert _ratio(row["max_dev"], row["tolerance"]) == max(_ratio(*w) for w in worst)
+    if len(checks) > 1:
+        assert row["detail"].split(", ") == [f"check{i} {dev:.2e} (tol {tol:.0e})"
+                                             for i, (dev, tol) in enumerate(worst)]
 
 
 def test_verify_unknown_suite_exit_2(capsys):

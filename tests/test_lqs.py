@@ -165,7 +165,7 @@ def _env_gram_kron(p):
     beta = alpha * math.sqrt(x)
     b2 = abs(beta) ** 2
     env_cutoff = max(8, math.ceil(b2))
-    while lqs._poisson_tail_bound(b2, env_cutoff) > 1e-12:
+    while lqs._poisson_tail_bound(b2, env_cutoff) > 1e-16:
         env_cutoff += 1
     v3 = lqs.coherent_amplitudes(beta, env_cutoff + 1)
     g0 = np.array([1.0, 0.0], dtype=complex)

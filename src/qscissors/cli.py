@@ -17,9 +17,7 @@ success, 1 verification/runtime failure, 2 usage error.
 """
 
 import argparse
-import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -131,15 +129,24 @@ def _config_tokens(path, parser):
 
 
 def _fmt_cell(v):
-    """One CSV cell: floats to 15 significant digits, None empty, booleans
-    lower case, anything else through str."""
+    """One CSV cell as csv.writer writes it: floats to 15 significant
+    digits, None empty, booleans lower case, a str as _csv_field quotes it,
+    anything else through str."""
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.15g}"
-    return str(v)
+    return _csv_field(v) if isinstance(v, str) else str(v)
+
+
+def _csv_field(text):
+    """`text` as csv.writer's QUOTE_MINIMAL rule writes it: in double quotes,
+    each one doubled, if it holds a comma, a double quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _json_cell(v):
@@ -149,6 +156,12 @@ def _json_cell(v):
     if type(v) is float and math.isfinite(v):
         return repr(v)
     return json.dumps(v)
+
+
+def _json_text(value, depth):
+    """json.dumps(value, indent=2, sort_keys=True) as it reads nested
+    `depth` objects deep in a document."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
 _CELL_TEXT = {"csv": _fmt_cell, "json": _json_cell}
@@ -188,26 +201,31 @@ def _check_out(path):
 def _emit(columns, fmt, meta, out_path):
     """Write a table, {name: column of values}, to `out_path` or stdout.
 
-    CSV goes through csv.writer, which quotes cells that need it.  JSON is
-    byte for byte json.dumps({"meta": meta, "rows": [{name: value, ...},
-    ...]}, indent=2, sort_keys=True) plus a newline: each row fills one
-    template of the sorted names, and meta goes through json.dumps.
+    CSV is byte for byte what csv.writer writes: each row is its cells
+    joined by commas plus CRLF, a cell or header name quoted as _csv_field
+    says, and a line that comes out empty written as "", csv.writer's text
+    for one empty field.  JSON is byte for byte json.dumps({"meta": meta,
+    "rows": [{name: value, ...}, ...]}, indent=2, sort_keys=True) plus a
+    newline.
     """
-    names = sorted(columns) if fmt == "json" else list(columns)
-    cells = zip(*(_column_text(columns[k], fmt) for k in names))
+    cells = {k: _column_text(v, fmt) for k, v in columns.items()}
+    _write_table(cells, fmt, _json_text(meta, 1) if fmt == "json" else None, out_path)
+
+
+def _write_table(cells, fmt, meta_text, out_path):
+    """_emit's text from formatted cells, {name: [cell text]}, and, for
+    JSON, meta as _json_text(meta, 1) encodes it.  Each JSON row fills one
+    template of the sorted names."""
     if fmt == "json":
+        names = sorted(cells)
         template = "    {\n" + ",\n".join(
             "      " + json.dumps(k).replace("%", "%%") + ": %s" for k in names) + "\n    }"
-        rows = ",\n".join(template % row for row in cells)
-        meta_text = json.dumps(meta, indent=2, sort_keys=True).replace("\n", "\n  ")
+        rows = ",\n".join(template % row for row in zip(*(cells[k] for k in names)))
         text = (f'{{\n  "meta": {meta_text},\n  "rows": '
                 + (f"[\n{rows}\n  ]" if rows else "[]") + "\n}\n")
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-        w.writerow(names)
-        w.writerows(cells)
-        text = buf.getvalue()
+        lines = itertools.chain([map(_csv_field, cells)], zip(*cells.values()))
+        text = "\r\n".join([",".join(line) or '""' for line in lines]) + "\r\n"
     if out_path:
         try:
             with open(out_path, "w", newline="") as fh:
@@ -248,12 +266,23 @@ def cmd_lqs(args):
     # the swept axis along each row, one row per table; a bad point leaves no output
     columns = sweep(*(v if k == sweep_key else [[f.get(k, v[0])] for f in fixed]
                       for k, v in axes.items()))
+    # every table shares the text of the swept column and, in JSON, of the
+    # axes, which are encoded once and spliced in where a null holds their place
+    swept = "alpha_abs" if sweep_key == "alpha" else sweep_key
+    swept_text = _column_text(columns[swept][0], args.fmt)
     meta = {"command": "lqs", "version": __version__, "format": args.fmt,
-            "swept_axis": sweep_key,
-            "axes": {k: [_fmt_cell(v) for v in axes[k]] for k in axes}}
+            "swept_axis": sweep_key, "axes": None}
+    if args.fmt == "json":
+        axes_text = _json_text({k: [_fmt_cell(v) for v in axes[k]] for k in axes}, 2)
+    meta_text = None
     for i, (table_fixed, out_path) in enumerate(zip(fixed, out_paths)):
-        _emit({k: v[i] for k, v in columns.items()}, args.fmt,
-              dict(meta, fixed={k: _fmt_cell(v) for k, v in table_fixed.items()}), out_path)
+        cells = {k: swept_text if k == swept else _column_text(v[i], args.fmt)
+                 for k, v in columns.items()}
+        if args.fmt == "json":
+            meta_text = _json_text(dict(meta, fixed={k: _fmt_cell(v) for k, v in
+                                                     table_fixed.items()}), 1)
+            meta_text = meta_text.replace('"axes": null', '"axes": ' + axes_text, 1)
+        _write_table(cells, args.fmt, meta_text, out_path)
     return 0
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -12,11 +13,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qscissors
-from qscissors import cli, nqs, verify
+from qscissors import cli, lqs, nqs, verify
 from qscissors.cli import main, parse_range
 
 
@@ -658,6 +659,14 @@ def _stdlib_cell(v):
 
 
 @settings(max_examples=300, deadline=None)
+# the corners of csv.writer's quoting: a line holding one empty field is
+# written "", and a lone comma or quote is quoted like any other
+@example(columns={"a": [None]}, meta={})
+@example(columns={"a": [""]}, meta={})
+@example(columns={"a": [","]}, meta={})
+@example(columns={"a": ['"']}, meta={})
+@example(columns={"": []}, meta={})
+@example(columns={'q"': [1.0], "c,d": ["x"], "l\nf": [None], "r\r": [True]}, meta={})
 @given(columns=_tables(), meta=st.dictionaries(st.text(max_size=4), st.one_of(
     _FLOATS, st.text(max_size=4), st.lists(st.text(max_size=3), max_size=3)), max_size=3))
 def test_emit_writes_what_the_stdlib_writes(columns, meta):
@@ -673,3 +682,42 @@ def test_emit_writes_what_the_stdlib_writes(columns, meta):
         with contextlib.redirect_stdout(out):
             cli._emit(columns, fmt, meta, None)
         assert out.getvalue() == want
+
+
+def _stdlib_table(columns, fmt, meta):
+    """One table as json.dumps or csv.writer writes it, from numpy columns."""
+    rows = list(zip(*(v.tolist() for v in columns.values())))
+    if fmt == "json":
+        return json.dumps({"meta": meta, "rows": [dict(zip(columns, r)) for r in rows]},
+                          indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf).writerows([list(columns), *([_stdlib_cell(v) for v in r] for r in rows)])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("flags, files", [
+    ({"alpha": "-1:1:7", "eta": "0.3:1:3", "gamma_bs": "0:0.2:2", "r_sq": "0.2:0.49:3"}, 18),
+    ({"alpha": "-0:2:5", "eta": "0.9", "gamma_bs": "0:0.1:2", "r_sq": "0.5:0.3:2"}, 4),
+])
+def test_lqs_tables_equal_the_stdlib_rendering(tmp_path, flags, files, fmt):
+    # every file of a multi-table sweep, meta with its shared axes included,
+    # is what json.dumps or csv.writer writes for one sweep call per table
+    argv = ["lqs", *(f"--{k.replace('_', '-')}={v}" for k, v in flags.items()),
+            "--format", fmt, "--out", str(tmp_path / f"t.{fmt}")]
+    assert main(argv) == 0
+    axes = {k: parse_range(v) for k, v in flags.items()}
+    extra = [k for k in ("eta", "gamma_bs", "r_sq") if len(axes[k]) > 1]
+    want = {}
+    for combo in itertools.product(*(axes[k] for k in extra)):
+        fixed = dict(zip(extra, combo))
+        columns = lqs.sweep(*(np.array(v) if k == "alpha" else fixed.get(k, v[0])
+                              for k, v in axes.items()))
+        meta = {"command": "lqs", "version": qscissors.__version__, "format": fmt,
+                "swept_axis": "alpha",
+                "axes": {k: [f"{v:.15g}" for v in vs] for k, vs in axes.items()},
+                "fixed": {k: f"{v:.15g}" for k, v in fixed.items()}}
+        tag = "_".join(f"{k}{v:.15g}" for k, v in fixed.items())
+        want[f"t_{tag}.{fmt}"] = _stdlib_table(columns, fmt, meta)
+    assert len(want) == files
+    assert {p.name: p.read_bytes().decode() for p in tmp_path.iterdir()} == want

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -170,14 +171,23 @@ _CELL_TEXT = {"csv": _fmt_cell, "json": _json_cell}
 def _column_text(values, fmt):
     """The cells of one column as `fmt` writes them.
 
-    A float array is formatted once per distinct value, told apart by its
-    bits so that -0.0 keeps its sign: a fixed parameter's column holds one
-    value.  Values are formatted as Python objects, since numpy 2 prints a
-    float64 as np.float64(...).
+    A float array with a repeated value is formatted once per distinct
+    value, told apart by its bits so that -0.0 keeps its sign: a fixed
+    parameter's column holds one value.  An object array holds None and floats, as lqs.sweep's F_ppb
+    does: None is formatted once and the floats as a float array.  Values
+    are formatted as Python objects, since numpy 2 prints a float64 as
+    np.float64(...).
     """
+    if isinstance(values, np.ndarray) and values.dtype == object:
+        text = np.full(values.shape, _CELL_TEXT[fmt](None), dtype=object)
+        given = np.not_equal(values, None)
+        text[given] = _column_text(values[given].astype(float), fmt)
+        return text.tolist()
     if isinstance(values, np.ndarray) and values.dtype == float:
         bits, where = np.unique(values.view(np.int64), return_inverse=True)
-        return np.array(_column_text(bits.view(float).tolist(), fmt), dtype=object)[where].tolist()
+        if bits.size < values.size:  # with no value repeated, the gather only costs
+            return np.array(_column_text(bits.view(float).tolist(), fmt),
+                            dtype=object)[where].tolist()
     if isinstance(values, np.ndarray):
         values = values.tolist()
     return list(map(_CELL_TEXT[fmt], values))
@@ -321,6 +331,11 @@ def cmd_verify(args):
     return 0 if all(columns["passed"]) else 1
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning for a command: one "warning: <message>" line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     ap, subparsers = _build_parser()
@@ -336,7 +351,9 @@ def main(argv=None):
         args = ap.parse_args(argv[:1] + tokens + argv[1:])
     command = {"lqs": cmd_lqs, "nqs": cmd_nqs, "verify": cmd_verify}[args.subcommand]
     try:
-        return command(args)
+        with warnings.catch_warnings():  # restores showwarning on the way out
+            warnings.showwarning = _warning_line
+            return command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,14 +13,19 @@ dimensions and cached; a call only puts in the angle and the phases.  The
 multi-mode states it acts on are plain amplitude tensors, one axis per mode.
 
 Per-diagonal propagators, of the damped Kerr steps and of RK4 alike, have
-one format: a (d, d, d) stack whose block x acts on the entries
-rho[j + x, j] of diagonal -x and is zero beyond size d - x.
-_apply_diagonal_propagators applies such a stack in one batched matmul.
+one format, the packed layout that _packed_diagonals maps.  Diagonal -x,
+the d - x entries rho[j + x, j], is acted on by a (d - x) x (d - x)
+block, and diagonals x and d - x fill one d x d matrix exactly: a stack
+of d // 2 + 1 matrices holds diagonal x in matrix x from position 0 for
+x <= d // 2, and in matrix d - x from position x otherwise, each square
+on the main diagonal and zero elsewhere.  _apply_diagonal_propagators
+applies such a stack in one batched matmul.
 """
 
 import functools
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,45 +64,64 @@ def _trace(rho):
 
 
 def _purity(rho):
-    return np.einsum("...ij,...ji->...", rho, rho).real
+    # sum |rho_ij|^2 on the float view, one real pass: tr rho^2 for a Hermitian rho
+    re_im = np.ascontiguousarray(rho).view(float)
+    return np.einsum("...ij,...ij->...", re_im, re_im)
 
 
 def _mean_n(rho):
     return np.einsum("...ii,i->...", rho.real, np.arange(rho.shape[-1], dtype=float))
 
 
-@functools.lru_cache(maxsize=8)
-def _diagonal_indices(d):
-    """Flat indices of the lower triangle of a (d, d) array, read-only.
+class _PackedDiagonals(NamedTuple):
+    """The packed per-diagonal layout of dimension d (module docstring).
 
-    For every entry n >= m: its position n*d + m, its mirror's m*d + n,
-    and x*d + m with x = n - m, its position in a (d, d) array whose row x
-    holds diagonal -x, the entries rho[j + x, j], zero-padded to length d.
+    Diagonal x sits in matrix block[x] of the stack, from position
+    offset[x].  For every entry n >= m, in np.tril_indices order: lower is
+    its flat position n*d + m, upper its mirror's m*d + n, and slot its
+    flat position in the (d // 2 + 1, d) array whose row b holds the
+    entries that matrix b acts on.
     """
+
+    block: np.ndarray
+    offset: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    slot: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _packed_diagonals(d):
+    """The _PackedDiagonals of dimension d, its arrays read-only."""
+    x = np.arange(d)
+    folded = x > d // 2
+    block = np.where(folded, d - x, x)
+    offset = np.where(folded, x, 0)
     n, m = np.tril_indices(d)
-    idx = (n * d + m, m * d + n, (n - m) * d + m)
-    for arr in idx:
+    lay = _PackedDiagonals(block=block, offset=offset, lower=n * d + m, upper=m * d + n,
+                           slot=block[n - m] * d + offset[n - m] + m)
+    for arr in lay:
         arr.flags.writeable = False
-    return idx
+    return lay
 
 
 def _apply_diagonal_propagators(rho, stack):
     """Apply per-diagonal propagators; compute n >= m, mirror the rest.
 
-    stack is a (d, d, d) array whose block x acts on diagonal -x, the
-    entries rho[j + x, j], and is zero beyond size d - x.  The diagonals
-    are gathered into the rows of one zero-padded (d, d) array, multiplied
-    by their blocks in one batched matmul and scattered back with their
-    mirror images, so the output is Hermitian by construction.
+    stack is a (d // 2 + 1, d, d) array in the packed layout (module
+    docstring).  The diagonals are gathered into the rows of one (d // 2 +
+    1, d) array, multiplied by their matrices in one batched matmul and
+    scattered back with their mirror images, so the output is Hermitian by
+    construction.
     """
     d = rho.shape[0]
-    lower, upper, diag = _diagonal_indices(d)
-    v = np.zeros(d * d, dtype=complex)
-    v[diag] = rho.reshape(-1)[lower]
-    w = np.matmul(stack, v.reshape(d, d, 1)).reshape(-1)[diag]
+    lay = _packed_diagonals(d)
+    v = np.zeros((d // 2 + 1) * d, dtype=complex)
+    v[lay.slot] = rho.reshape(-1)[lay.lower]
+    w = np.matmul(stack, v.reshape(-1, d, 1)).reshape(-1)[lay.slot]
     out = np.empty(d * d, dtype=complex)
-    out[upper] = np.conj(w)
-    out[lower] = w  # after the mirror, so the main diagonal keeps w
+    out[lay.upper] = np.conj(w)
+    out[lay.lower] = w  # after the mirror, so the main diagonal keeps w
     return out.reshape(d, d)
 
 

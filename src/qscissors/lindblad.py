@@ -7,8 +7,8 @@ are short, matrices small, and fixed steps make results bit-reproducible.
 The master equation is written once, as a table of (c, A, B) terms meaning
 c A rho B over the cached ladder matrices.  lindblad_rhs sums the table over
 the full matrix.  The generator conserves x = n - m, so the same table also
-gives one block L_x of size d - x per diagonal, zero-padded into the
-(d, d, d) stack format of fock._apply_diagonal_propagators.  For this
+gives one block L_x of size d - x per diagonal, placed in the packed
+(d // 2 + 1, d, d) stack of fock._apply_diagonal_propagators.  For this
 constant linear generator n RK4 steps of size h are exactly the matrix
 T(h L_x)^n, with T(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, whose stack is
 applied to the lower diagonals and mirrored.  No hypergeometric propagator
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (DensityMatrix, _apply_diagonal_propagators, _checked_trace, _trace,
-                   annihilation_matrix)
+from .fock import (DensityMatrix, _apply_diagonal_propagators, _checked_trace,
+                   _packed_diagonals, _trace, annihilation_matrix)
 
 
 @dataclass
@@ -87,15 +87,25 @@ def _generator_blocks(d, lam, nbar):
 
     On diagonal -x, v[j] = rho[j + x, j], the generator acts as
     L_x[j, j'] = sum over terms of c A[j + x, j' + x] B[j', j], of size
-    d - x.  Returns the (d, d, d) stack of L_x zero-padded to d x d: the
-    padded A is zero wherever j + x or j' + x reaches d.
+    d - x.  Returns the packed (d // 2 + 1, d, d) stack of the L_x
+    (fock._packed_diagonals): with (n, m) the entry of rho that a slot of
+    the stack holds, entry (r, s) of a matrix is the sum of c A[n_r, n_s]
+    B[m_s, m_r].  A slot that holds no entry takes n = m = d, where the
+    padded ladder matrices are zero; every term conserves n - m, so the
+    entries between two diagonals sharing a matrix come out zero too.
     """
-    k = np.arange(d)
-    rows = k[:, None, None] + k[None, :, None]  # x + j
-    cols = k[:, None, None] + k[None, None, :]  # x + j'
-    blocks = np.zeros((d, d, d), dtype=complex)
+    lay = _packed_diagonals(d)
+    n = np.full((d // 2 + 1) * d, d)
+    m = n.copy()
+    n[lay.slot], m[lay.slot] = np.divmod(lay.lower, d)
+    n, m = n.reshape(-1, d, 1), m.reshape(-1, d, 1)
+    blocks = np.zeros((d // 2 + 1, d, d), dtype=complex)
+    padded = np.zeros((d + 1, d + 1), dtype=complex)
     for c, A, B in _master_equation_terms(d, lam, nbar):
-        blocks += c * np.pad(A, (0, d))[rows, cols] * B.T
+        padded[:d, :d] = A
+        a = padded[n, n.swapaxes(1, 2)]
+        padded[:d, :d] = B
+        blocks += c * a * padded[m.swapaxes(1, 2), m]
     return blocks
 
 
@@ -127,8 +137,9 @@ def integrate(rho0, tau_total, p, cfg=None):
     h = tau_total / n_steps
     d = rho.shape[0]
     hL = h * _generator_blocks(d, p.lam, p.nbar)
-    k = np.arange(d)
-    eye = np.eye(d) * (k < d - k[:, None, None])  # block x: identity of size d - x
+    slot = _packed_diagonals(d).slot
+    eye = np.zeros(hL.shape)
+    eye.reshape(-1, d)[slot, slot % d] = 1.0  # the identity on every slot that holds an entry
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite entry
         step = eye + hL @ (eye + (hL / 2) @ (eye + (hL / 3) @ (eye + hL / 4)))
         out = _apply_diagonal_propagators(rho, np.linalg.matrix_power(step, n_steps))

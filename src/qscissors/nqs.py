@@ -7,14 +7,20 @@ damped evolution has an exact per-diagonal solution; kicks are displacement
 unitaries with closed-form matrix elements.
 
 The propagators and the kick matrix are array code.  A propagator family
-(one matrix per diagonal x = n - m) is the zero-padded (d, d, d) stack that
-fock._apply_diagonal_propagators takes; its entries are evaluated in one
-pass over flat (x, j, l) index arrays cached per dimension and scattered
-straight into the stack.  The thermal family's terminating hypergeometric
-sum runs in a loop over its summation index only, over a prefix of entries
-that shrinks as k passes each entry's m.  The kick matrix takes every
-Laguerre value from one recurrence.  A damped step is one batched
-matrix-vector product over all diagonals.
+(one matrix per diagonal x = n - m) is the packed (d // 2 + 1, d, d) stack
+that fock._apply_diagonal_propagators takes; its entries are evaluated in
+one pass over flat (x, j, l) index arrays cached per dimension and
+scattered straight into the stack.  The thermal family's terminating
+hypergeometric sum runs in a loop over its summation index only, over a
+prefix of entries that shrinks as k passes each entry's m.  The kick
+matrix takes every Laguerre value from one recurrence.  A damped step is
+one batched matrix-vector product over all diagonals.
+
+A kick U = D(-i eps) is real in the phase frame of D = diag((-i)^n): K =
+D^* U D is the real displacement D(eps).  Turning a matrix into that frame
+or out of it multiplies entry (n, m) by a power of i, which is exact in
+floating point, so a kick is two real matrix products between two exact
+turns.  The states stay in the lab frame, where the damped steps act.
 
 Each step and the kick have one array core (_damped, _kerr, _kick); the
 public functions wrap them around a validated DensityMatrix.  _trajectory
@@ -33,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import (DensityMatrix, _apply_diagonal_propagators, _checked_trace, _mean_n, _purity,
-                   _trace)
+from .fock import (DensityMatrix, _apply_diagonal_propagators, _checked_trace, _mean_n,
+                   _packed_diagonals, _purity, _trace)
 from .specfun import _ln_factorials, damping_coefficients, laguerre_assoc, sqrt_binomial_ratio
 
 
@@ -108,7 +114,9 @@ class _FamilyIndex(NamedTuple):
 
     Entries are sorted by m = j descending, so those with m >= k form the
     prefix of length active[k].  n = j + x; xm = x*dim + m indexes a
-    per-diagonal power table of shape (dim, dim) at exponent m.
+    per-diagonal power table of shape (dim, dim) at exponent m.  at and
+    mirror are the flat positions of P_x[j, j+l] and P_x[j+l, j] in the
+    packed stack (fock._packed_diagonals).
     """
 
     x: np.ndarray
@@ -117,6 +125,8 @@ class _FamilyIndex(NamedTuple):
     l: np.ndarray
     xm: np.ndarray
     active: np.ndarray
+    at: np.ndarray
+    mirror: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -127,8 +137,11 @@ def _family_indices(dim):
     x, j, c = np.nonzero((r >= r[:, None]) & (r < dim - r[:, None, None]))
     order = np.argsort(-j, kind="stable")
     x, m, l = x[order], j[order], (c - j)[order]
+    lay = _packed_diagonals(dim)
+    start = lay.block[x] * dim * dim + lay.offset[x] * (dim + 1)  # flat position of P_x[0, 0]
     idx = _FamilyIndex(x=x, n=m + x, m=m, l=l, xm=x * dim + m,
-                       active=np.searchsorted(-m, -r, side="right"))
+                       active=np.searchsorted(-m, -r, side="right"),
+                       at=start + m * dim + m + l, mirror=start + (m + l) * dim + m)
     for arr in idx:
         arr.flags.writeable = False
     return idx
@@ -203,8 +216,8 @@ def _propagator_family(dim, lam, nbar, tau, kind):
     arrays.  Thermal excitation fills the lower triangles by the
     detailed-balance symmetry of the per-diagonal generator,
     P[j, j-k] = q^k P[j-k, j] with q = nbar/(nbar+1).  Returns a read-only
-    (dim, dim, dim) stack whose block x acts on the entries rho[j + x, j]
-    and is zero beyond size dim - x.
+    (dim // 2 + 1, dim, dim) stack in the packed layout of
+    fock._packed_diagonals.
 
     Raises FloatingPointError if an entry is not finite, which happens
     where lam is far outside the scale of the Kerr coupling.
@@ -219,12 +232,11 @@ def _propagator_family(dim, lam, nbar, tau, kind):
         raise FloatingPointError(f"{kind} propagator family at lambda={lam:g}, nbar={nbar:g}, "
                                  f"tau={tau:g} has non-finite entries")
     ix = _family_indices(dim)
-    col = ix.m + ix.l
-    stack = np.zeros((dim, dim, dim), dtype=complex)
-    stack[ix.x, ix.m, col] = upper
+    stack = np.zeros((dim // 2 + 1, dim, dim), dtype=complex)
+    stack.reshape(-1)[ix.at] = upper
     if q:
         # mirrored entry P[j+l, j]; at l = 0 it rewrites the diagonal unchanged
-        stack[ix.x, col, ix.m] = q ** ix.l * upper
+        stack.reshape(-1)[ix.mirror] = q ** ix.l * upper
     stack.flags.writeable = False
     return stack
 
@@ -277,17 +289,32 @@ def unitary_kerr_step(rho_in, tau):
     return DensityMatrix(_kerr(rho_in.elements, tau))
 
 
+@functools.lru_cache(maxsize=8)
+def _phase_frame(d):
+    """i^(n - m) over the entries (n, m) of a (d, d) matrix, read-only.
+
+    With D = diag((-i)^n), D^* A D is A times it entry by entry, and
+    D A D^* is A times its transpose.  Every value is 1, i, -1 or -i.
+    """
+    n = np.arange(d)
+    phase = np.array([1, 1j, -1, -1j])[(n[:, None] - n) % 4]
+    phase.flags.writeable = False
+    return phase
+
+
 # One entry: trajectories rerun at one (eps, cutoff) point, as in the
 # nqs-long benchmark, reuse it; a scan over fresh points never hits a cache.
 @functools.lru_cache(maxsize=1)
 def kick_unitary(eps, cutoff):
     """Displacement matrix of one kick, U = D(-i eps), in closed form.
 
-    Element (n, m) is e^{-eps^2/2} sqrt(min!/max!) (-i eps)^{|n-m|}
-    L_min^{|n-m|}(eps^2); the lower triangle carries the same sign factor
-    as the upper, giving the symmetry U_nm = (-1)^{n-m} U*_mn.  The lower
-    triangle is evaluated at once over its index arrays, its Laguerre values
-    from one recurrence, and mirrored into the upper.  Raises
+    U = D K D^* with D = diag((-i)^n), where K = D(eps) is real: for n >= m
+    and k = n - m, K[n, m] = e^{-eps^2/2} sqrt(m!/n!) eps^k L_m^k(eps^2) and
+    K[m, n] = (-1)^k K[n, m].  The lower triangle of K is evaluated at once
+    over its index arrays, in real arithmetic and with its Laguerre values
+    from one recurrence, and mirrored into the upper.  U is K times
+    (-i)^(n - m) entry by entry, which is exact, so every element of U is
+    purely real or purely imaginary and U is symmetric.  Raises
     FloatingPointError if an element is not finite, which happens where eps
     is far outside the weak-kick regime.  The last (eps, cutoff) is
     cached; the result is read-only.
@@ -300,39 +327,65 @@ def kick_unitary(eps, cutoff):
     n, m = np.tril_indices(d)
     k = n - m
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite element
-        val = (
-            np.exp(-e2 / 2)
-            * np.exp(0.5 * (lnf[m] - lnf[n]))
-            * (-1j * eps) ** k
-            * laguerre_assoc(m, k, e2)
-        )
+        val = (np.exp(-e2 / 2) * np.exp(0.5 * (lnf[m] - lnf[n])) * eps ** k
+               * laguerre_assoc(m, k, e2))
     if not np.all(np.isfinite(val)):
         raise FloatingPointError(f"kick matrix at epsilon={eps:g} has non-finite elements")
-    U = np.zeros((d, d), dtype=complex)
-    U[n, m] = val
+    K = np.zeros((d, d))
+    K[n, m] = val
     off = k > 0
-    U[m[off], n[off]] = (1 - 2 * (k[off] % 2)) * np.conj(val[off])
+    K[m[off], n[off]] = (1 - 2 * (k[off] % 2)) * val[off]
+    U = K * _phase_frame(d).T
     U.flags.writeable = False
     return U
 
 
-def _kick(rho, U, tr):
-    """Array core of one kick, U rho U^dag, made Hermitian by construction.
+def _frame_kick(U):
+    """K = D^* U D, the kick matrix U in the phase frame, as a real array.
 
-    `tr` is the trace of rho; returns the kicked state and its trace.
-    Raises CutoffError if the kick moves the trace by more than LEAKAGE_TOL.
+    Raises ValueError unless K is exactly real, as it is for kick_unitary.
     """
-    if U.shape[0] != rho.shape[0]:
-        raise ValueError(f"kick matrix dim {U.shape[0]} != state dim {rho.shape[0]}")
-    out = U @ rho @ U.conj().T
-    out = 0.5 * (out + out.conj().T)
+    K = U * _phase_frame(U.shape[0])
+    if np.any(K.imag):
+        raise ValueError("kick matrix is not real in the (-i)^n phase frame")
+    return np.ascontiguousarray(K.real)
+
+
+def _kick(rho, K, tr):
+    """Array core of one kick, U rho U^dag with U = D K D^*, K = _frame_kick(U).
+
+    K rho_f K^T, rho_f = D^* rho D, is two real (d, d) @ (d, 2d) products
+    on float views; the second multiplies the transpose of the first, so
+    the product, and its turn back, come out transposed.  The lower
+    triangle is written with its conjugate mirror and a real diagonal, so
+    the result is Hermitian by construction.  `tr` is the trace of rho;
+    returns the kicked state and its trace.  Raises CutoffError if the kick
+    moves the trace by more than LEAKAGE_TOL.
+    """
+    d = rho.shape[0]
+    if K.shape[0] != d:
+        raise ValueError(f"kick matrix dim {K.shape[0]} != state dim {d}")
+    phase = _phase_frame(d)
+    lay = _packed_diagonals(d)
+    half = (K @ (rho * phase).view(float)).view(complex)  # K rho_f
+    flipped = (K @ np.ascontiguousarray(half.T).view(float)).view(complex)  # (K rho_f K^T)^T
+    w = (flipped * phase).reshape(-1)[lay.upper]  # the transposed result's entries m <= n
+    out = np.empty(d * d, dtype=complex)
+    out[lay.upper] = np.conj(w)
+    out[lay.lower] = w
+    out.imag[:: d + 1] = 0.0
+    out = out.reshape(d, d)
     return out, _checked_trace(tr, out, "kick")
 
 
 def apply_kick(rho_in, U):
-    """One kick: rho -> U rho U^dag; CutoffError if it moves the trace."""
+    """One kick: rho -> U rho U^dag; CutoffError if it moves the trace.
+
+    U must be exactly real in the phase frame (_frame_kick), as every
+    kick_unitary is; ValueError otherwise.
+    """
     rho = rho_in.elements
-    return DensityMatrix(_kick(rho, U, float(_trace(rho)))[0])
+    return DensityMatrix(_kick(rho, _frame_kick(U), float(_trace(rho)))[0])
 
 
 def _fidelity(rho, k, eps):
@@ -364,11 +417,11 @@ def _trajectory(p, initial=None):
         warnings.warn(f"cutoff {p.cutoff} is small for a thermal run; leakage checks may trip",
                       stacklevel=3)  # past evolve_kicked, to its caller
     if p.kicks:
-        U = kick_unitary(p.epsilon, p.cutoff)
+        K = _frame_kick(kick_unitary(p.epsilon, p.cutoff))
         kind = "zero" if p.nbar == 0 else "thermal"
         tr = float(_trace(states[0]))  # each state's trace is taken once, by the step making it
         for k in range(1, p.kicks + 1):
-            states[2 * k - 1], tr = _kick(states[2 * k - 2], U, tr)
+            states[2 * k - 1], tr = _kick(states[2 * k - 2], K, tr)
             states[2 * k], tr = _damped(states[2 * k - 1], p.lam, p.nbar, p.tau_k, kind, tr)
         DensityMatrix(states[-1])  # end-of-trajectory validation
     step = np.arange(len(states))

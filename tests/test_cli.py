@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -197,11 +198,27 @@ def test_nqs_zero_kicks_single_row(capsys):
 
 
 def test_nqs_cutoff_error_exits_1(capsys):
-    with pytest.warns(UserWarning):  # small thermal cutoff warns before failing
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # as outside the test suite
         rc = main(["nqs", "--epsilon", "0.1", "--lambda", "1", "--nbar", "2",
                    "--kicks", "2", "--cutoff", "1"])
     assert rc == 1
-    assert "error" in capsys.readouterr().err
+    # the small thermal cutoff warns before the run fails, one line each
+    warning, error = capsys.readouterr().err.splitlines()
+    assert warning == "warning: cutoff 1 is small for a thermal run; leakage checks may trip"
+    assert error.startswith("error: kick: trace drifted by 4.967e-05")
+
+
+def test_warnings_are_one_line_each(capsys):
+    # no source path or line: the text depends on the input alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(["nqs", "--epsilon", "0.4", "--kicks", "1", "--cutoff", "20"]) == 0
+        assert main(["nqs", "--epsilon", "0.4", "--kicks", "1", "--cutoff", "20"]) == 0
+    line = ("warning: epsilon = 0.4 is not small; the kicks must stay much weaker than the "
+            "Kerr interaction for clean truncation\n")
+    assert capsys.readouterr().err == 2 * line
+    assert warnings.showwarning is not cli._warning_line
 
 
 @pytest.mark.parametrize("message, line", [
@@ -421,14 +438,18 @@ def test_trace_loss_exits_1(capsys, argv, message):
     # a kick or a thermal step that pushes the state past the cutoff, or a
     # propagator family or kick matrix with a non-finite entry, is a
     # numerical failure with one error line: never a usage error, a
-    # traceback, a RuntimeWarning or a nan
-    with warnings.catch_warnings(record=True) as caught:
+    # traceback, a RuntimeWarning or a nan.  main writes each warning as a
+    # line; only the parameters' own warnings may come before the error
+    with warnings.catch_warnings():
         warnings.simplefilter("always")
         assert _exit_code(argv) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith(f"error: {message}") and out.err.count("\n") == 1
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    *warned, error = out.err.split("\n")[:-1]
+    assert error.startswith(f"error: {message}") and out.err.endswith("\n")
+    for line in warned:
+        assert re.fullmatch(r"warning: (epsilon = \S+ is not small|cutoff \d+ is small for a "
+                            r"thermal run); .*", line), line
 
 
 @pytest.mark.parametrize("lam", ["1e-150", "1e-153", "1e-200", "1e-300"])
@@ -442,8 +463,9 @@ def test_tiny_lambda_thermal_run_exits_0(capsys, lam):
             warnings.simplefilter("always")
             assert main(["nqs", "--epsilon", "0.1", "--kicks", "3", "--cutoff", "20"] + argv) == 0
         assert caught == []
-        tables.append(np.array([row for row in csv.reader(
-            capsys.readouterr().out.splitlines()[1:])], dtype=float))
+        out = capsys.readouterr()
+        assert out.err == ""  # main writes a warning as a line here
+        tables.append(np.array([row for row in csv.reader(out.out.splitlines()[1:])], dtype=float))
     assert np.all(np.isfinite(tables[0]))
     assert np.max(np.abs(tables[0] - tables[1])) < 1e-14
 
@@ -634,15 +656,19 @@ _CELLS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), _FLOATS
 
 @st.composite
 def _tables(draw):
-    """{name: column}: lists of mixed cells, and float arrays (fixed
-    parameters repeat one value), the shapes the subcommands emit."""
+    """{name: column}: lists of mixed cells, float arrays (fixed
+    parameters repeat one value) and object arrays of None and floats
+    (lqs.sweep's F_ppb), the shapes the subcommands emit."""
     names = draw(st.lists(st.text(max_size=5), min_size=1, max_size=5, unique=True))
     n = draw(st.integers(0, 6))
     columns = {}
     for name in names:
-        kind = draw(st.sampled_from(["cells", "floats", "fixed"]))
+        kind = draw(st.sampled_from(["cells", "floats", "fixed", "optional"]))
         if kind == "cells":
             columns[name] = draw(st.lists(_CELLS, min_size=n, max_size=n))
+        elif kind == "optional":
+            cells = draw(st.lists(st.one_of(st.none(), _FLOATS), min_size=n, max_size=n))
+            columns[name] = np.array(cells, dtype=object)
         else:
             size = 1 if kind == "fixed" else n
             values = np.array(draw(st.lists(_FLOATS, min_size=size, max_size=size)), dtype=float)

@@ -16,11 +16,14 @@ from qscissors.fock import (
     _apply_diagonal_propagators,
     _checked_trace,
     _expm_hermitian,
+    _packed_diagonals,
     _splitter_eigh,
     annihilation_matrix,
     beam_splitter_unitary,
     coherent_state,
 )
+
+from packed import diagonal_block, place, squares
 
 
 def test_fock_vector_basics():
@@ -270,26 +273,42 @@ def test_beam_splitter_full_transmission_is_identity():
 def _apply_loop(rho, stack):
     """Reference: one matrix-vector product per diagonal, mirrored."""
     d = rho.shape[0]
-    out = np.diag(stack[0] @ rho.diagonal())
+    out = np.diag(diagonal_block(stack, 0) @ rho.diagonal())
     for x in range(1, d):
-        w = stack[x, :d - x, :d - x] @ rho.diagonal(-x)
+        w = diagonal_block(stack, x) @ rho.diagonal(-x)
         out = out + np.diag(w, -x) + np.diag(w.conj(), x)
     return out
 
 
-@settings(max_examples=40, deadline=None)
-@given(d=st.integers(2, 45), seed=st.integers(0, 2**32 - 1))
-def test_apply_diagonal_propagators_equals_loop(d, seed):
-    # a random Hermitian rho and a random stack, block x zero beyond size
-    # d - x: the batched gather-matmul-mirror must equal the per-diagonal loop
-    rng = np.random.default_rng(seed)
-    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = A + A.conj().T
-    k = np.arange(d)
-    inside = k < d - k[:, None]  # [x, j]: j lies inside block x
-    stack = rng.normal(size=(d, d, d)) + 1j * rng.normal(size=(d, d, d))
-    stack *= inside[:, :, None] & inside[:, None, :]
-    got = _apply_diagonal_propagators(rho, stack)
-    want = _apply_loop(rho, stack)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.array_equal(np.tril(got, -1), np.triu(got, 1).conj().T)
+def test_apply_diagonal_propagators_equals_loop():
+    # a random Hermitian rho and a random packed stack, zero outside the
+    # squares of its diagonals: the batched gather-matmul-mirror must equal
+    # the per-diagonal loop, at every d up to 45, of either parity
+    rng = np.random.default_rng(45)
+    for d in range(1, 46):
+        A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = A + A.conj().T
+        shape = (d // 2 + 1, d, d)
+        stack = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * squares(d)
+        got = _apply_diagonal_propagators(rho, stack)
+        want = _apply_loop(rho, stack)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(np.tril(got, -1), np.triu(got, 1).conj().T)
+
+
+@pytest.mark.parametrize("d", range(1, 46))
+def test_packed_layout_follows_its_rule(d):
+    # every entry n >= m has one slot, in the row of the matrix that holds
+    # its diagonal, at the block's position plus m; the slots fill the
+    # squares and nothing else
+    lay = _packed_diagonals(d)
+    assert [place(d, x) for x in range(d)] == list(zip(lay.block.tolist(), lay.offset.tolist()))
+    n, m = np.tril_indices(d)
+    assert np.array_equal(lay.lower, n * d + m) and np.array_equal(lay.upper, m * d + n)
+    b, o = lay.block[n - m], lay.offset[n - m]
+    assert np.array_equal(lay.slot, b * d + o + m)
+    rows = np.zeros((d // 2 + 1) * d, dtype=int)
+    np.add.at(rows, lay.slot, 1)
+    assert np.array_equal(rows.reshape(-1, d), np.diagonal(squares(d), axis1=1, axis2=2))
+    for arr in lay:
+        assert not arr.flags.writeable

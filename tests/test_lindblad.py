@@ -23,6 +23,8 @@ from qscissors.nqs import (
     unitary_kerr_step,
 )
 
+from packed import diagonal_block, squares
+
 
 def _random_density(seed, dim, support=None):
     """Random density on `dim` levels, optionally supported on the lowest
@@ -95,15 +97,14 @@ def test_rhs_keeps_each_diagonal(x):
 def test_generator_blocks_reproduce_rhs(d, lam, nbar, seed):
     # block L_x acts on diagonal -x; applied diagonal by diagonal and
     # mirrored, the blocks must give the full right-hand side of a random
-    # Hermitian matrix, and their zero padding must stay zero
+    # Hermitian matrix, and the packed stack must be zero outside them
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = A + A.conj().T
     rho /= np.max(np.abs(rho))
     L = _generator_blocks(d, lam, nbar)
-    assert L.shape == (d, d, d)
-    for x in range(1, d):
-        assert np.all(L[x, d - x:, :] == 0) and np.all(L[x, :, d - x:] == 0)
+    assert L.shape == (d // 2 + 1, d, d)
+    assert np.all(L[~squares(d)] == 0)
     got = _apply_diagonal_propagators(rho, L)
     assert np.max(np.abs(got - lindblad_rhs(rho, lam, nbar))) < 1e-13
 
@@ -128,7 +129,8 @@ def test_integrate_matches_step_loop(seed, dim, tau, lam, nbar, want_steps):
 
 def test_integrate_propagator_is_zero_padded(monkeypatch):
     # block x of the RK4 propagator acts on d - x entries; its identity
-    # term must not leave ones on the padding
+    # term must not leave ones outside the blocks of the packed stack, at
+    # either parity of d
     seen = []
 
     def spy(rho, stack):
@@ -136,14 +138,15 @@ def test_integrate_propagator_is_zero_padded(monkeypatch):
         return _apply_diagonal_propagators(rho, stack)
 
     monkeypatch.setattr(lindblad, "_apply_diagonal_propagators", spy)
-    d = 8
-    p = NqsParams(epsilon=0.1, kicks=1, cutoff=d - 1, lam=0.3, nbar=0.4)
-    integrate(DensityMatrix(_random_density(42, d)), 0.05, p)
-    (stack,) = seen
-    assert stack.shape == (d, d, d)
-    for x in range(d):
-        assert not np.any(stack[x, d - x:]) and not np.any(stack[x, :, d - x:])
-        assert np.all(np.diagonal(stack[x])[:d - x] != 0)
+    for d in (7, 8):
+        p = NqsParams(epsilon=0.1, kicks=1, cutoff=d - 1, lam=0.3, nbar=0.4)
+        integrate(DensityMatrix(_random_density(42, d)), 0.05, p)
+        stack = seen.pop()
+        assert stack.shape == (d // 2 + 1, d, d)
+        assert not np.any(stack[~squares(d)])
+        for x in range(d):
+            assert np.all(np.diagonal(diagonal_block(stack, x)) != 0)
+    assert seen == []
 
 
 def test_rhs_cached_ladders_follow_the_dimension():

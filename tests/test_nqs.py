@@ -29,6 +29,8 @@ from qscissors.nqs import (
 )
 from qscissors.specfun import damping_coefficients, sqrt_binomial_ratio
 
+from packed import diagonal_block, squares
+
 
 def _random_density(seed, dim):
     rng = np.random.default_rng(seed)
@@ -183,6 +185,49 @@ def test_kick_unitary_cached_read_only():
         U[0, 0] = 0.0
     fresh = kick_unitary.__wrapped__(0.1, 40)
     assert fresh is not U and np.array_equal(fresh, U)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps=st.floats(0.0, 0.5), cutoff=st.integers(1, 60), rank=st.integers(1, 61),
+       seed=st.integers(0, 2**32 - 1))
+def test_frame_kick_equals_complex_product(eps, cutoff, rank, seed):
+    # the real kick in the (-i)^n frame against the literal U rho U^dag of
+    # a random positive state; the state fills every level, so the kick
+    # leaks trace past the cutoff, and the drift guard is handed the trace
+    # of the reference to let the comparison run
+    d = cutoff + 1
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d, min(rank, d))) + 1j * rng.normal(size=(d, min(rank, d)))
+    rho = A @ A.conj().T
+    rho /= np.trace(rho).real
+    U = kick_unitary(eps, cutoff)
+    want = U @ rho @ U.conj().T
+    got, tr = nqs._kick(rho, nqs._frame_kick(U), float(np.trace(want).real))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(rho))
+    assert np.array_equal(got, got.conj().T)  # Hermitian by construction, diagonal real
+    assert tr == fock._trace(got)
+
+
+@pytest.mark.parametrize("cutoff", [10, 99, 100, 150, 300])
+@pytest.mark.parametrize("eps", [0.05, 0.3])
+def test_kick_unitary_is_exactly_real_in_the_phase_frame(eps, cutoff):
+    # D^* U D with D = diag((-i)^n) is the real displacement D(eps); the
+    # closed form is built there, so no element picks up a rounding error
+    # in the part that must vanish
+    U = kick_unitary(eps, cutoff)
+    assert np.all((U.real == 0) | (U.imag == 0))
+    n = np.arange(cutoff + 1)
+    K = U * 1j ** ((n[:, None] - n) % 4)
+    assert not np.any(K.imag)
+    assert np.array_equal(nqs._frame_kick(U), K.real)
+
+
+def test_apply_kick_refuses_a_matrix_not_real_in_the_frame():
+    rho = DensityMatrix(np.diag([1.0] + [0.0] * 10))
+    U = kick_unitary(0.1, 10)
+    for bad in (U * np.exp(0.3j), expm(-1j * (U + U.conj().T))):
+        with pytest.raises(ValueError, match=r"not real in the \(-i\)\^n phase frame"):
+            apply_kick(rho, bad)
 
 
 def test_kick_matches_displacement_expm():
@@ -386,25 +431,24 @@ _STEP_PARAMS = dict(
 def test_families_equal_scalar_loops(dim, lam, nbar, tau):
     zero = _propagator_family(dim, lam, 0.0, tau, "zero")
     thermal = _propagator_family(dim, lam, nbar, tau, "thermal")
-    assert zero.shape == thermal.shape == (dim, dim, dim)
+    assert zero.shape == thermal.shape == (dim // 2 + 1, dim, dim)
     for x in range(dim):
         size = dim - x
         want = _zero_t_propagator_loop(x, size, lam, tau)
-        assert np.max(np.abs(zero[x, :size, :size] - want)) < 1e-13
+        assert np.max(np.abs(diagonal_block(zero, x) - want)) < 1e-13
         want = _thermal_propagator_loop(x, size, lam, nbar, tau)
-        assert np.max(np.abs(thermal[x, :size, :size] - want)) < 1e-13
+        assert np.max(np.abs(diagonal_block(thermal, x) - want)) < 1e-13
 
 
 @pytest.mark.parametrize("kind, nbar", [("zero", 0.0), ("thermal", 0.0), ("thermal", 0.4)])
-@pytest.mark.parametrize("dim", [2, 7, 30])
+@pytest.mark.parametrize("dim", [1, 2, 7, 30, 31])
 def test_families_are_zero_padded(kind, nbar, dim):
-    # block x acts on the dim - x entries rho[j + x, j]; rows and columns
-    # beyond that are padding and must be exactly zero
+    # each packed matrix holds the square blocks of one or two diagonals;
+    # everything outside them must be exactly zero
     stack = _propagator_family(dim, 0.2, nbar, 1.3, kind)
+    assert not np.any(stack[~squares(dim)])
     for x in range(dim):
-        size = dim - x
-        assert not np.any(stack[x, size:]) and not np.any(stack[x, :, size:])
-        assert np.all(np.diagonal(stack[x])[:size] != 0)
+        assert np.all(np.diagonal(diagonal_block(stack, x)) != 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -413,7 +457,7 @@ def test_thermal_family_detailed_balance(dim, lam, nbar, tau):
     q = nbar / (nbar + 1)
     stack = _propagator_family(dim, lam, nbar, tau, "thermal")
     for x in range(dim):
-        P = stack[x, :dim - x, :dim - x]
+        P = diagonal_block(stack, x)
         for k in range(1, P.shape[0]):
             lower, upper = np.diagonal(P, -k), np.diagonal(P, k)
             assert np.max(np.abs(lower - q**k * upper)) <= 1e-15 * max(1.0, np.max(np.abs(lower)))
@@ -456,7 +500,7 @@ def test_thermal_family_large_time_no_warning():
             family = _propagator_family(81, lam, 2.0, 20.0, "thermal")
             assert np.all(np.isfinite(family))
     # populations relax: the x = 0 block is column-stochastic within the cutoff
-    assert np.all(family[0].sum(axis=0).real <= 1.0 + 1e-12)
+    assert np.all(diagonal_block(family, 0).sum(axis=0).real <= 1.0 + 1e-12)
 
 
 def test_cached_propagators_are_read_only():

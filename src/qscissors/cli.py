@@ -357,7 +357,8 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CutoffError, FloatingPointError, MemoryError) as exc:
+    except (CutoffError, FloatingPointError, MemoryError, Warning) as exc:
+        # a Warning arrives here raised, under python -W error
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

@@ -11,10 +11,13 @@ The propagators and the kick matrix are array code.  A propagator family
 that fock._apply_diagonal_propagators takes; its entries are evaluated in
 one pass over flat (x, j, l) index arrays cached per dimension and
 scattered straight into the stack.  The thermal family's terminating
-hypergeometric sum runs in a loop over its summation index only, over a
-prefix of entries that shrinks as k passes each entry's m.  The kick
-matrix takes every Laguerre value from one recurrence.  A damped step is
-one batched matrix-vector product over all diagonals.
+hypergeometric sums, sum_k C(n, k) C(m, k) w^k (E^2)^{m-k} / C(l+k, k),
+are one real matrix product: 1/C(l+k, k) is a fixed (d, d) matrix, and
+the other factors form one column per diagonal x and row m.  The E^2
+powers stay distributed over the terms, where no intermediate over- or
+underflows at large tau.  The kick matrix takes every Laguerre value from
+one recurrence.  A damped step is one batched matrix-vector product over
+all diagonals.
 
 A kick U = D(-i eps) is real in the phase frame of D = diag((-i)^n): K =
 D^* U D is the real displacement D(eps).  Turning a matrix into that frame
@@ -112,19 +115,15 @@ class EvolutionRecord:
 class _FamilyIndex(NamedTuple):
     """Flat indices of every upper entry P_x[j, j+l] (j + l < dim - x).
 
-    Entries are sorted by m = j descending, so those with m >= k form the
-    prefix of length active[k].  n = j + x; xm = x*dim + m indexes a
-    per-diagonal power table of shape (dim, dim) at exponent m.  at and
-    mirror are the flat positions of P_x[j, j+l] and P_x[j+l, j] in the
-    packed stack (fock._packed_diagonals).
+    Entries run over x, then m = j, then l.  n = j + x; at and mirror are
+    the flat positions of P_x[j, j+l] and P_x[j+l, j] in the packed stack
+    (fock._packed_diagonals).
     """
 
     x: np.ndarray
     n: np.ndarray
     m: np.ndarray
     l: np.ndarray
-    xm: np.ndarray
-    active: np.ndarray
     at: np.ndarray
     mirror: np.ndarray
 
@@ -134,17 +133,45 @@ def _family_indices(dim):
     """The _FamilyIndex of one dimension, its arrays read-only."""
     r = np.arange(dim)
     # axes (x, j, c): entry (j, c) of block x is upper when j <= c < dim - x
-    x, j, c = np.nonzero((r >= r[:, None]) & (r < dim - r[:, None, None]))
-    order = np.argsort(-j, kind="stable")
-    x, m, l = x[order], j[order], (c - j)[order]
+    x, m, c = np.nonzero((r >= r[:, None]) & (r < dim - r[:, None, None]))
+    l = c - m
     lay = _packed_diagonals(dim)
     start = lay.block[x] * dim * dim + lay.offset[x] * (dim + 1)  # flat position of P_x[0, 0]
-    idx = _FamilyIndex(x=x, n=m + x, m=m, l=l, xm=x * dim + m,
-                       active=np.searchsorted(-m, -r, side="right"),
+    idx = _FamilyIndex(x=x, n=m + x, m=m, l=l,
                        at=start + m * dim + m + l, mirror=start + (m + l) * dim + m)
     for arr in idx:
         arr.flags.writeable = False
     return idx
+
+
+@functools.lru_cache(maxsize=8)
+def _hypergeometric_terms(dim):
+    """The fixed parts of _thermal_upper's sums at one dimension, read-only.
+
+    Rows are the pairs (x, m), m < dim - x, x-major.  Returns
+    coef[k, row] = C(n, k) C(m, k), zero for k > m; inv_binom[l, k] =
+    1/C(l+k, k); the x of each row; e2_at[k, row], the flat index of
+    (E_x^2)^max(m-k, 0) in a (dim, dim) power table; and sum_at, the flat
+    index of each upper entry's sum in the (dim, rows) product.  Both
+    binomial ratios are cumprods of the factors of the recurrence: at
+    d = 81 they are within 3e-15 relative of the exact values, where
+    exp(lgamma) sums are off by 2e-13.
+    """
+    r = np.arange(dim)
+    rx, rm = np.nonzero(r < dim - r[:, None])
+    i = r[:-1, None]
+    coef = np.ones((dim, len(rx)))
+    coef[1:] = np.cumprod((rx + rm - i) * (rm - i) / ((i + 1.0) * (i + 1)), axis=0)
+    inv_binom = np.ones((dim, dim))
+    inv_binom[:, 1:] = np.cumprod((r[:-1] + 1.0) / (r[:, None] + 1 + r[:-1]), axis=1)
+    e2_at = (rx * dim + np.maximum(rm - r[:, None], 0)).astype(np.int32)
+    ix = _family_indices(dim)
+    row = np.cumsum(dim - r) - (dim - r)  # the first row of each x
+    sum_at = (ix.l * len(rx) + row[ix.x] + ix.m).astype(np.int32)
+    terms = (coef, inv_binom, rx, e2_at, sum_at)
+    for arr in terms:
+        arr.flags.writeable = False
+    return terms
 
 
 def _power_table(base, dim):
@@ -177,27 +204,27 @@ def _thermal_upper(dim, lam, nbar, tau):
     """Upper entries of every finite-temperature per-diagonal propagator.
 
     Downward entries follow the exact damped-oscillator solution,
-    E^{n+m+1} F(-n, -m; l+1; zeta) = E^{x+1} sum_k c_k (E^2)^{m-k} with
-    c_k carrying w^k, w = zeta E^2 = q g_bar^2: the E^2 powers are
-    distributed over the terms, which keeps every intermediate bounded at
-    large tau.  The terminating sum runs for all entries at once, k from 0
-    to the largest m; sorted by m descending, the entries that still have
-    a k-th term form a shrinking prefix.
+    E^{n+m+1} F(-n, -m; l+1; zeta) = E^{x+1} s with the terminating sum
+    s = sum_k c_k (E^2)^{m-k}, w = zeta E^2 = q g_bar^2 and
+    c_k = C(n, k) C(m, k) w^k / C(l+k, k).  The factorials split: l enters
+    only through 1/C(l+k, k), so s[l, (x, m)] = sum_k 1/C(l+k, k) F[k, (x, m)]
+    with F = C(n, k) C(m, k) w^k (E^2)^{m-k}, and every sum of every diagonal
+    is one real matrix product on the float view of F, gathered to the
+    entries.  F keeps the E^2 powers distributed over the terms, which keeps
+    every intermediate bounded: factored out as (E^2)^m (w/E^2)^k, they
+    underflow and overflow at large tau.
     """
     ix = _family_indices(dim)
-    x, n, m, l, xm = ix.x, ix.n, ix.m, ix.l, ix.xm
+    x, n, m, l = ix.x, ix.n, ix.m, ix.l
+    coef, inv_binom, rx, e2_at, sum_at = _hypergeometric_terms(dim)
     xs = np.arange(dim)
     E, g = damping_coefficients(xs, lam, nbar, tau)
     q = nbar / (nbar + 1)
     pref = np.exp(lam * tau / 2 + 1j * xs * tau) * E ** (xs + 1)
-    E2_pow = _power_table(E * E, dim).ravel()
-    w = (q * g * g)[x]
-    s = np.zeros(len(x), dtype=complex)
-    c = np.ones(len(x), dtype=complex)
-    for k in range(dim):
-        a = ix.active[k]
-        s[:a] += c[:a] * E2_pow[xm[:a] - k]
-        c[:a] *= (k - n[:a]) * (k - m[:a]) * w[:a] / ((l[:a] + 1 + k) * (k + 1))
+    F = np.take(_power_table(E * E, dim), e2_at)
+    F *= np.take(_power_table(q * g * g, dim).T, rx, axis=1)
+    F *= coef
+    s = np.take((inv_binom @ F.view(float)).view(complex), sum_at)
     return pref[x] * sqrt_binomial_ratio(n, m, l) * _power_table(g, dim)[x, l] * s
 
 
@@ -410,7 +437,8 @@ def _trajectory(p, initial=None):
     rho0 = np.ones((1, 1)) if initial is None else initial.elements  # vacuum by default
     if len(rho0) > d:
         raise ValueError(f"initial state dim {len(rho0)} exceeds cutoff+1 = {d}")
-    states = np.zeros((2 * p.kicks + 1, d, d), dtype=complex)
+    states = np.empty((2 * p.kicks + 1, d, d), dtype=complex)  # each step writes its state whole
+    states[0] = 0.0
     states[0, : len(rho0), : len(rho0)] = rho0
     DensityMatrix(states[0])
     if p.nbar > 0 and p.cutoff < 20:

@@ -221,6 +221,24 @@ def test_warnings_are_one_line_each(capsys):
     assert warnings.showwarning is not cli._warning_line
 
 
+def test_warning_raised_under_w_error_is_an_error_line(tmp_path):
+    # python -W error turns the warning into an exception: one error line,
+    # exit 1, and the output file is never written
+    src = os.path.dirname(os.path.dirname(qscissors.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = tmp_path / "nqs.csv"
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "qscissors.cli", "nqs",
+                          "--epsilon", "0.4", "--kicks", "1", "--cutoff", "20", "--out", str(out)],
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert run.stderr == ("error: epsilon = 0.4 is not small; the kicks must stay much weaker "
+                          "than the Kerr interaction for clean truncation\n")
+    assert run.stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("message, line", [
     ("Unable to allocate 47.8 PiB for an array with shape (2000000000001, 41, 41) "
      "and data type complex128", "error: Unable to allocate 47.8 PiB"),

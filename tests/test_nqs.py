@@ -19,6 +19,7 @@ from qscissors.nqs import (
     NqsParams,
     _family_indices,
     _fidelity,
+    _hypergeometric_terms,
     _propagator_family,
     analytic_damped_step_thermal,
     analytic_damped_step_zero_T,
@@ -440,6 +441,23 @@ def test_families_equal_scalar_loops(dim, lam, nbar, tau):
         assert np.max(np.abs(diagonal_block(thermal, x) - want)) < 1e-13
 
 
+@pytest.mark.parametrize("dim, lam, nbar, tau", [
+    (31, 0.1, 0.2, 1.0),  # the nqs-map benchmark's size
+    (31, 0.5, 2.0, 20.0),
+    (41, 0.05, 0.3, 1.0),
+    (41, 0.5, 2.0, 20.0),
+    (81, 0.5, 2.0, 20.0),
+])
+def test_thermal_family_equals_scalar_loop_at_large_dims(dim, lam, nbar, tau):
+    # the thermal sums at the dimensions the CLI and the benchmark use, and
+    # at the large-time point where their E^2 powers must stay distributed;
+    # thermal only, as the zero-T scalar loop alone takes 4 s at d = 81
+    thermal = _propagator_family(dim, lam, nbar, tau, "thermal")
+    for x in range(dim):
+        want = _thermal_propagator_loop(x, dim - x, lam, nbar, tau)
+        assert np.max(np.abs(diagonal_block(thermal, x) - want)) < 1e-13
+
+
 @pytest.mark.parametrize("kind, nbar", [("zero", 0.0), ("thermal", 0.0), ("thermal", 0.4)])
 @pytest.mark.parametrize("dim", [1, 2, 7, 30, 31])
 def test_families_are_zero_padded(kind, nbar, dim):
@@ -509,7 +527,7 @@ def test_cached_propagators_are_read_only():
         assert family.flags.c_contiguous and not family.flags.writeable
         with pytest.raises(ValueError):
             family[1, 0, 0] = 1.0
-    for arr in _family_indices(6):
+    for arr in (*_family_indices(6), *_hypergeometric_terms(6)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0

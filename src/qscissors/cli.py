@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .fock import CutoffError
 from .lqs import sweep
-from .nqs import NqsParams, _trajectory
+from .nqs import NqsParams, trajectory
 from .verify import SUITES, _row
 
 
@@ -305,9 +305,7 @@ def cmd_nqs(args):
     p = NqsParams(**kw)
     if args.out:
         _check_out(args.out)
-    states, columns = _trajectory(p)
-    columns.update(rho_00=states[:, 0, 0].real, re_rho_01=states[:, 0, 1].real,
-                   im_rho_01=states[:, 0, 1].imag, rho_11=states[:, 1, 1].real)
+    columns = trajectory(p)[1]
     meta = {"command": "nqs", "version": __version__, "format": args.fmt,
             "params": {"epsilon": p.epsilon, "lambda": p.lam, "nbar": p.nbar,
                        "tau_k": p.tau_k, "kicks": p.kicks, "cutoff": p.cutoff}}

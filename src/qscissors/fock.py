@@ -13,12 +13,13 @@ dimensions and cached; a call only puts in the angle and the phases.  The
 multi-mode states it acts on are plain amplitude tensors, one axis per mode.
 
 Per-diagonal propagators, of the damped Kerr steps and of RK4 alike, have
-one format, the packed layout that _packed_diagonals maps.  Diagonal -x,
-the d - x entries rho[j + x, j], is acted on by a (d - x) x (d - x)
-block, and diagonals x and d - x fill one d x d matrix exactly: a stack
-of d // 2 + 1 matrices holds diagonal x in matrix x from position 0 for
-x <= d // 2, and in matrix d - x from position x otherwise, each square
-on the main diagonal and zero elsewhere.  _apply_diagonal_propagators
+one format, the packed layout; only this module knows where a diagonal
+sits in it, and _packed_diagonals names the entry each slot holds.  The
+d - x entries rho[j + x, j] of diagonal -x are acted on by a (d - x) x
+(d - x) block, and diagonals x and d - x fill one d x d matrix exactly: a
+stack of d // 2 + 1 matrices holds diagonal x in matrix x from position 0
+for x <= d // 2, and in matrix d - x from position x otherwise, each
+square on the main diagonal and zero elsewhere.  _apply_diagonal_propagators
 applies such a stack in one batched matmul.
 """
 
@@ -76,33 +77,43 @@ def _mean_n(rho):
 class _PackedDiagonals(NamedTuple):
     """The packed per-diagonal layout of dimension d (module docstring).
 
-    Diagonal x sits in matrix block[x] of the stack, from position
-    offset[x].  For every entry n >= m, in np.tril_indices order: lower is
-    its flat position n*d + m, upper its mirror's m*d + n, and slot its
-    flat position in the (d // 2 + 1, d) array whose row b holds the
-    entries that matrix b acts on.
+    For every entry n >= m, in np.tril_indices order: lower is its flat
+    position n*d + m, upper its mirror's m*d + n, and slot its flat
+    position in the (d // 2 + 1, d) array whose row b holds the entries
+    that matrix b acts on.  n[b, r] and m[b, r] name the entry (n, m) that
+    slot r of row b holds, both d for a slot that holds none.
     """
 
-    block: np.ndarray
-    offset: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     slot: np.ndarray
+    n: np.ndarray
+    m: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
 def _packed_diagonals(d):
     """The _PackedDiagonals of dimension d, its arrays read-only."""
-    x = np.arange(d)
-    folded = x > d // 2
-    block = np.where(folded, d - x, x)
-    offset = np.where(folded, x, 0)
     n, m = np.tril_indices(d)
-    lay = _PackedDiagonals(block=block, offset=offset, lower=n * d + m, upper=m * d + n,
-                           slot=block[n - m] * d + offset[n - m] + m)
+    x = n - m
+    # diagonal x sits in matrix x from position 0, or in matrix d - x from position x
+    slot = np.where(x > d // 2, (d - x) * d + x, x * d) + m
+    held = np.full((2, d // 2 + 1, d), d)  # (n, m) of the entry in each slot
+    held.reshape(2, -1)[:, slot] = n, m
+    lay = _PackedDiagonals(lower=n * d + m, upper=m * d + n, slot=slot, n=held[0], m=held[1])
     for arr in lay:
         arr.flags.writeable = False
     return lay
+
+
+def _hermitian_from_lower(w, d):
+    """The (d, d) matrix whose entries n >= m are w, in np.tril_indices
+    order, and whose entries above the main diagonal mirror them conjugated."""
+    lay = _packed_diagonals(d)
+    out = np.empty(d * d, dtype=complex)
+    out[lay.upper] = np.conj(w)
+    out[lay.lower] = w  # after the mirror, so the main diagonal keeps w
+    return out.reshape(d, d)
 
 
 def _apply_diagonal_propagators(rho, stack):
@@ -119,10 +130,7 @@ def _apply_diagonal_propagators(rho, stack):
     v = np.zeros((d // 2 + 1) * d, dtype=complex)
     v[lay.slot] = rho.reshape(-1)[lay.lower]
     w = np.matmul(stack, v.reshape(-1, d, 1)).reshape(-1)[lay.slot]
-    out = np.empty(d * d, dtype=complex)
-    out[lay.upper] = np.conj(w)
-    out[lay.lower] = w  # after the mirror, so the main diagonal keeps w
-    return out.reshape(d, d)
+    return _hermitian_from_lower(w, d)
 
 
 class FockVector:

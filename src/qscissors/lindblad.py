@@ -7,12 +7,12 @@ are short, matrices small, and fixed steps make results bit-reproducible.
 The master equation is written once, as a table of (c, A, B) terms meaning
 c A rho B over the cached ladder matrices.  lindblad_rhs sums the table over
 the full matrix.  The generator conserves x = n - m, so the same table also
-gives one block L_x of size d - x per diagonal, placed in the packed
-(d // 2 + 1, d, d) stack of fock._apply_diagonal_propagators.  For this
-constant linear generator n RK4 steps of size h are exactly the matrix
-T(h L_x)^n, with T(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, whose stack is
-applied to the lower diagonals and mirrored.  No hypergeometric propagator
-is used anywhere.
+gives one block L_x of size d - x per diagonal, built from the entry that
+fock, the one module to know where a diagonal sits, names for each slot of
+the packed stack of fock._apply_diagonal_propagators.  For this constant
+linear generator n RK4 steps of size h are exactly the matrix T(h L_x)^n,
+with T(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, whose stack is applied to the
+lower diagonals and mirrored.  No hypergeometric propagator is used.
 """
 
 import functools
@@ -90,15 +90,12 @@ def _generator_blocks(d, lam, nbar):
     d - x.  Returns the packed (d // 2 + 1, d, d) stack of the L_x
     (fock._packed_diagonals): with (n, m) the entry of rho that a slot of
     the stack holds, entry (r, s) of a matrix is the sum of c A[n_r, n_s]
-    B[m_s, m_r].  A slot that holds no entry takes n = m = d, where the
+    B[m_s, m_r].  A slot that holds no entry reads n = m = d, where the
     padded ladder matrices are zero; every term conserves n - m, so the
     entries between two diagonals sharing a matrix come out zero too.
     """
     lay = _packed_diagonals(d)
-    n = np.full((d // 2 + 1) * d, d)
-    m = n.copy()
-    n[lay.slot], m[lay.slot] = np.divmod(lay.lower, d)
-    n, m = n.reshape(-1, d, 1), m.reshape(-1, d, 1)
+    n, m = lay.n[:, :, None], lay.m[:, :, None]
     blocks = np.zeros((d // 2 + 1, d, d), dtype=complex)
     padded = np.zeros((d + 1, d + 1), dtype=complex)
     for c, A, B in _master_equation_terms(d, lam, nbar):
@@ -137,9 +134,7 @@ def integrate(rho0, tau_total, p, cfg=None):
     h = tau_total / n_steps
     d = rho.shape[0]
     hL = h * _generator_blocks(d, p.lam, p.nbar)
-    slot = _packed_diagonals(d).slot
-    eye = np.zeros(hL.shape)
-    eye.reshape(-1, d)[slot, slot % d] = 1.0  # the identity on every slot that holds an entry
+    eye = np.eye(d) * (_packed_diagonals(d).n < d)[:, :, None]  # on every slot holding an entry
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite entry
         step = eye + hL @ (eye + (hL / 2) @ (eye + (hL / 3) @ (eye + hL / 4)))
         out = _apply_diagonal_propagators(rho, np.linalg.matrix_power(step, n_steps))

@@ -9,8 +9,9 @@ unitaries with closed-form matrix elements.
 The propagators and the kick matrix are array code.  A propagator family
 (one matrix per diagonal x = n - m) is the packed (d // 2 + 1, d, d) stack
 that fock._apply_diagonal_propagators takes; its entries are evaluated in
-one pass over flat (x, j, l) index arrays cached per dimension and
-scattered straight into the stack.  The thermal family's terminating
+one pass over flat index arrays, cached per dimension from the entry that
+fock, the one module to know where a diagonal sits, names for each slot,
+and scattered straight into the stack.  The thermal family's terminating
 hypergeometric sums, sum_k C(n, k) C(m, k) w^k (E^2)^{m-k} / C(l+k, k),
 are one real matrix product: 1/C(l+k, k) is a fixed (d, d) matrix, and
 the other factors form one column per diagonal x and row m.  The E^2
@@ -26,12 +27,12 @@ floating point, so a kick is two real matrix products between two exact
 turns.  The states stay in the lab frame, where the damped steps act.
 
 Each step and the kick have one array core (_damped, _kerr, _kick); the
-public functions wrap them around a validated DensityMatrix.  _trajectory
+public functions wrap them around a validated DensityMatrix.  trajectory
 runs the cores directly and validates the state twice, at the start and at
 the end: each damped step and each kick keeps its trace-drift guard, every
 core returns a Hermitian array by construction, and a non-positive final
-state raises ValueError.  Its states and scalar columns feed both
-evolve_kicked's records and qscissors nqs.
+state raises ValueError.  Its states and its columns, the whole table of
+qscissors nqs, feed both evolve_kicked's records and the command.
 """
 
 import functools
@@ -42,8 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import (DensityMatrix, _apply_diagonal_propagators, _checked_trace, _mean_n,
-                   _packed_diagonals, _purity, _trace)
+from .fock import (DensityMatrix, _apply_diagonal_propagators, _checked_trace,
+                   _hermitian_from_lower, _mean_n, _packed_diagonals, _purity, _trace)
 from .specfun import _ln_factorials, damping_coefficients, laguerre_assoc, sqrt_binomial_ratio
 
 
@@ -115,9 +116,9 @@ class EvolutionRecord:
 class _FamilyIndex(NamedTuple):
     """Flat indices of every upper entry P_x[j, j+l] (j + l < dim - x).
 
-    Entries run over x, then m = j, then l.  n = j + x; at and mirror are
-    the flat positions of P_x[j, j+l] and P_x[j+l, j] in the packed stack
-    (fock._packed_diagonals).
+    Entries run in stack order.  P_x[j, j+l] pairs the slots holding (n, m)
+    = (j + x, j) and (n + l, m + l) (fock._packed_diagonals); at and mirror
+    are the flat positions of P_x[j, j+l] and P_x[j+l, j] in the stack.
     """
 
     x: np.ndarray
@@ -131,14 +132,14 @@ class _FamilyIndex(NamedTuple):
 @functools.lru_cache(maxsize=8)
 def _family_indices(dim):
     """The _FamilyIndex of one dimension, its arrays read-only."""
-    r = np.arange(dim)
-    # axes (x, j, c): entry (j, c) of block x is upper when j <= c < dim - x
-    x, m, c = np.nonzero((r >= r[:, None]) & (r < dim - r[:, None, None]))
-    l = c - m
     lay = _packed_diagonals(dim)
-    start = lay.block[x] * dim * dim + lay.offset[x] * (dim + 1)  # flat position of P_x[0, 0]
-    idx = _FamilyIndex(x=x, n=m + x, m=m, l=l,
-                       at=start + m * dim + m + l, mirror=start + (m + l) * dim + m)
+    x, m = lay.n - lay.m, lay.m
+    # axes (b, r, c): slots r and c of row b hold (n, m) and (n + l, m + l),
+    # l >= 0; an empty slot reads n = m = dim, so m_r <= m_c < dim holds on none
+    b, r, c = np.nonzero((x[:, :, None] == x[:, None, :]) & (m[:, :, None] <= m[:, None, :])
+                         & (m[:, None, :] < dim))
+    idx = _FamilyIndex(x=x[b, r], n=lay.n[b, r], m=m[b, r], l=m[b, c] - m[b, r],
+                       at=(b * dim + r) * dim + c, mirror=(b * dim + c) * dim + r)
     for arr in idx:
         arr.flags.writeable = False
     return idx
@@ -383,25 +384,20 @@ def _kick(rho, K, tr):
 
     K rho_f K^T, rho_f = D^* rho D, is two real (d, d) @ (d, 2d) products
     on float views; the second multiplies the transpose of the first, so
-    the product, and its turn back, come out transposed.  The lower
-    triangle is written with its conjugate mirror and a real diagonal, so
-    the result is Hermitian by construction.  `tr` is the trace of rho;
-    returns the kicked state and its trace.  Raises CutoffError if the kick
-    moves the trace by more than LEAKAGE_TOL.
+    the product, and its turn back, come out transposed: their upper
+    triangle is the result's lower, written with its conjugate mirror and a
+    real diagonal, so the result is Hermitian by construction.  `tr` is the
+    trace of rho; returns the kicked state and its trace.  Raises
+    CutoffError if the kick moves the trace by more than LEAKAGE_TOL.
     """
     d = rho.shape[0]
     if K.shape[0] != d:
         raise ValueError(f"kick matrix dim {K.shape[0]} != state dim {d}")
     phase = _phase_frame(d)
-    lay = _packed_diagonals(d)
     half = (K @ (rho * phase).view(float)).view(complex)  # K rho_f
     flipped = (K @ np.ascontiguousarray(half.T).view(float)).view(complex)  # (K rho_f K^T)^T
-    w = (flipped * phase).reshape(-1)[lay.upper]  # the transposed result's entries m <= n
-    out = np.empty(d * d, dtype=complex)
-    out[lay.upper] = np.conj(w)
-    out[lay.lower] = w
-    out.imag[:: d + 1] = 0.0
-    out = out.reshape(d, d)
+    out = _hermitian_from_lower((flipped * phase).reshape(-1)[_packed_diagonals(d).upper], d)
+    out.reshape(-1).imag[:: d + 1] = 0.0
     return out, _checked_trace(tr, out, "kick")
 
 
@@ -430,9 +426,10 @@ def _fidelity(rho, k, eps):
     return np.clip(f, 0.0, 1.0)
 
 
-def _trajectory(p, initial=None):
-    """evolve_kicked's (2K+1, d, d) states and a dict of their numpy columns
-    (kick_index, tau, fidelity, trace, purity, mean_n), in CSV order."""
+def trajectory(p, initial=None):
+    """evolve_kicked's (2K+1, d, d) states and the table of qscissors nqs, a
+    dict of numpy columns in CSV order: kick_index, tau, fidelity, trace,
+    purity, mean_n and the corners rho_00, re_rho_01, im_rho_01, rho_11."""
     d = p.cutoff + 1
     rho0 = np.ones((1, 1)) if initial is None else initial.elements  # vacuum by default
     if len(rho0) > d:
@@ -456,7 +453,9 @@ def _trajectory(p, initial=None):
     kick = (step + 1) // 2  # state i follows kick (i + 1) // 2
     return states, {"kick_index": kick, "tau": (step // 2) * p.tau_k,
                     "fidelity": _fidelity(states, kick, p.epsilon), "trace": _trace(states),
-                    "purity": _purity(states), "mean_n": _mean_n(states)}
+                    "purity": _purity(states), "mean_n": _mean_n(states),
+                    "rho_00": states[:, 0, 0].real, "re_rho_01": states[:, 0, 1].real,
+                    "im_rho_01": states[:, 0, 1].imag, "rho_11": states[:, 1, 1].real}
 
 
 def evolve_kicked(p, initial=None):
@@ -483,7 +482,7 @@ def evolve_kicked(p, initial=None):
         ValueError: if the final state is not Hermitian or has an eigenvalue
             below -fock.EIG_TOL.
     """
-    states, columns = _trajectory(p, initial)
+    states, columns = trajectory(p, initial)
     rows = zip(states, *(v.tolist() for v in columns.values()))
     return [EvolutionRecord(tau=t, rho=rho, fidelity=f, trace=tr, purity=pur, mean_n=n,
-                            kick_index=k) for rho, k, t, f, tr, pur, n in rows]
+                            kick_index=k) for rho, k, t, f, tr, pur, n, *_corners in rows]

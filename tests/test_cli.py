@@ -1,5 +1,6 @@
 """Tests for the command-line driver: sweeps, formats, exit codes."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -250,12 +252,27 @@ def test_memory_error_exits_1(monkeypatch, capsys, message, line):
     def refuse(p, initial=None):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "_trajectory", refuse)
+    monkeypatch.setattr(cli, "trajectory", refuse)
     rc = main(["nqs", "--epsilon", "0.1", "--kicks", "1000000000000", "--cutoff", "40"])
     assert rc == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(line) and out.err.count("\n") == 1
+
+
+def test_cli_imports_no_private_name_from_lqs_or_nqs():
+    # the command reads the tables that lqs.sweep and nqs.trajectory build,
+    # through public names only
+    source = Path(__file__).resolve().parents[1] / "src" / "qscissors" / "cli.py"
+    private = []
+    for node in ast.walk(ast.parse(source.read_text())):
+        module = getattr(node, "module", None) or ""
+        if isinstance(node, ast.ImportFrom) and module.split(".")[-1] in ("lqs", "nqs"):
+            private += [(module, a.name) for a in node.names if a.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in ("lqs", "nqs") and node.attr.startswith("_")):
+            private.append((node.value.id, node.attr))
+    assert private == []
 
 
 def test_config_file_with_override(tmp_path, capsys):

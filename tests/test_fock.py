@@ -298,17 +298,24 @@ def test_apply_diagonal_propagators_equals_loop():
 
 @pytest.mark.parametrize("d", range(1, 46))
 def test_packed_layout_follows_its_rule(d):
-    # every entry n >= m has one slot, in the row of the matrix that holds
-    # its diagonal, at the block's position plus m; the slots fill the
-    # squares and nothing else
+    # the slot at the block's position plus m, in the row of the matrix
+    # that holds diagonal n - m, holds entry (n, m); every entry n >= m
+    # sits in exactly one slot, and a slot outside every square reads d
     lay = _packed_diagonals(d)
-    assert [place(d, x) for x in range(d)] == list(zip(lay.block.tolist(), lay.offset.tolist()))
+    want_n, want_m = np.full((2, d // 2 + 1, d), d)
+    for x in range(d):
+        b, o = place(d, x)
+        j = np.arange(d - x)
+        want_n[b, o + j], want_m[b, o + j] = j + x, j
+    assert np.array_equal(lay.n, want_n) and np.array_equal(lay.m, want_m)
+    held = lay.n < d
+    assert np.array_equal(held, np.diagonal(squares(d), axis1=1, axis2=2))
+    assert np.array_equal(lay.m < d, held)
     n, m = np.tril_indices(d)
+    assert sorted(zip(lay.n[held].tolist(), lay.m[held].tolist())) == sorted(
+        zip(n.tolist(), m.tolist()))
     assert np.array_equal(lay.lower, n * d + m) and np.array_equal(lay.upper, m * d + n)
-    b, o = lay.block[n - m], lay.offset[n - m]
-    assert np.array_equal(lay.slot, b * d + o + m)
-    rows = np.zeros((d // 2 + 1) * d, dtype=int)
-    np.add.at(rows, lay.slot, 1)
-    assert np.array_equal(rows.reshape(-1, d), np.diagonal(squares(d), axis1=1, axis2=2))
+    assert np.array_equal(lay.n.reshape(-1)[lay.slot], n)
+    assert np.array_equal(lay.m.reshape(-1)[lay.slot], m)
     for arr in lay:
         assert not arr.flags.writeable

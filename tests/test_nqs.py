@@ -115,7 +115,7 @@ def test_damped_step_lambda_to_zero_limit():
     p = NqsParams(epsilon=0.1, kicks=1, cutoff=9, lam=1e-12)
     a = analytic_damped_step_zero_T(rho, 0.8, p)
     b = unitary_kerr_step(rho, 0.8)
-    assert np.max(np.abs(a.elements - b.elements)) < 1e-8
+    assert np.max(np.abs(a.elements - b.elements)) < 3e-11  # the nqs-limits tolerance
 
 
 def test_damped_step_dispatches_lambda_zero():
@@ -581,15 +581,20 @@ def test_evolve_kicked_equals_chain_of_validated_steps(
 @pytest.mark.parametrize("initial", [None, _random_density(4, 3)], ids=["vacuum", "mixed"])
 def test_trajectory_columns_are_the_records(initial):
     # qscissors nqs writes the core's columns; evolve_kicked's records must
-    # carry the same values, state by state
+    # carry the same values, state by state, and the corners are the states'
     p = NqsParams(epsilon=0.1, kicks=4, cutoff=12, lam=0.05, nbar=0.1, tau_k=1.3)
     with pytest.warns(UserWarning, match="small for a thermal run"):
-        states, columns = nqs._trajectory(p, initial)
+        states, columns = nqs.trajectory(p, initial)
         records = evolve_kicked(p, initial)
-    assert list(columns) == ["kick_index", "tau", "fidelity", "trace", "purity", "mean_n"]
-    for name, column in columns.items():
-        assert column.tolist() == [getattr(r, name) for r in records]
+    scalars = ["kick_index", "tau", "fidelity", "trace", "purity", "mean_n"]
+    assert list(columns) == scalars + ["rho_00", "re_rho_01", "im_rho_01", "rho_11"]
+    for name in scalars:
+        assert columns[name].tolist() == [getattr(r, name) for r in records]
     assert all(np.array_equal(s, r.rho) for s, r in zip(states, records))
+    corners = {"rho_00": states[:, 0, 0].real, "re_rho_01": states[:, 0, 1].real,
+               "im_rho_01": states[:, 0, 1].imag, "rho_11": states[:, 1, 1].real}
+    for name, want in corners.items():
+        assert np.array_equal(columns[name], want)
 
 
 @pytest.mark.parametrize("lam, nbar", [(0.05, 0.0), (0.1, 0.2), (0.0, 0.0)])
